@@ -1,8 +1,9 @@
 // table1_ucap_size_sweep — reproduces the paper's Table I:
 // "Analyzing the Influence of Ultracapacitor Size in Different
 // Methodologies". US06 drive cycle; ultracapacitor sizes 5,000 F to
-// 25,000 F; Parallel [15], Dual [16] and OTEM compared on average
-// power [W] and capacity loss [% of Parallel @ 25,000 F].
+// 25,000 F; Parallel [15], Dual [16], OTEM and its LTV-QP
+// transcription (otem-ltv) compared on average power [W] and capacity
+// loss [% of Parallel @ 25,000 F].
 //
 // Expected shape (paper): shrinking the bank raises the parallel
 // architecture's capacity loss steeply (175 % at 5 kF vs 100 % at
@@ -24,7 +25,8 @@ int main(int argc, char** argv) {
       static_cast<size_t>(cfg.get_long("repeats", 3));
 
   const std::vector<double> sizes = {5000.0, 10000.0, 20000.0, 25000.0};
-  const std::vector<std::string> methods = {"parallel", "dual", "otem"};
+  const std::vector<std::string> methods = {"parallel", "dual", "otem",
+                                           "otem-ltv"};
 
   // Normalisation baseline: Parallel @ 25,000 F (the paper's 100 %).
   const core::SystemSpec spec25 = base.with_ultracap_size(25000.0);

@@ -105,10 +105,6 @@ Server::Server(const ServerOptions& options)
                 registry_),
       run_instruments_(registry_),
       pool_(std::make_unique<exec::ThreadPool>(options.threads)),
-      latency_us_(registry_.histogram("serve.request.latency_us",
-                                      obs::latency_buckets_us())),
-      queue_wait_us_(registry_.histogram("serve.queue.wait_us",
-                                         obs::latency_buckets_us())),
       latency_sketch_(registry_.sketch("serve.request.latency_us")),
       queue_wait_sketch_(registry_.sketch("serve.queue.wait_us")),
       session_step_sketch_(registry_.sketch("serve.session.step_us")),
@@ -131,10 +127,12 @@ bool Server::stopping() const {
 
 void Server::request_stop() {
   stop_.store(true, std::memory_order_relaxed);
-  const int fd = wake_write_fd_;
-  if (fd >= 0) {
+  // serve_listener closes the pipe under wake_mutex_ too, so a late
+  // stop never writes into a closed (or recycled) descriptor.
+  std::lock_guard<std::mutex> lock(wake_mutex_);
+  if (wake_write_fd_ >= 0) {
     const char byte = 'x';
-    [[maybe_unused]] const ssize_t n = ::write(fd, &byte, 1);
+    [[maybe_unused]] const ssize_t n = ::write(wake_write_fd_, &byte, 1);
   }
 }
 
@@ -265,7 +263,6 @@ std::string Server::handle_line(const std::string& line, size_t worker) {
       // it always includes queue wait and parse time.
       const std::string response = handle_run(req);
       const double latency = obs::now_us() - t0;
-      latency_us_.record(latency);
       latency_sketch_.record(latency);
       worker_latency_[worker]->record(latency);
       return response;
@@ -294,11 +291,11 @@ std::string Server::handle_line(const std::string& line, size_t worker) {
                         "unknown method '" + req.method + "'");
 }
 
-std::string Server::handle_run(const Request& req) {
+std::string Server::resolve_scenario(const Request& req, Config& merged,
+                                     sim::Scenario& scenario) {
   // A private Config per request: base pairs first, then the request's
   // overrides on top. Never share a Config across sessions — copies
   // share their consumed-key set, which concurrent reads would race on.
-  Config merged;
   for (const auto& [key, value] : base_pairs_) merged.set(key, value);
   for (const auto& [key, value] : req.overrides) {
     if (is_output_override(key)) {
@@ -310,7 +307,6 @@ std::string Server::handle_run(const Request& req) {
     merged.set(key, value);
   }
 
-  sim::Scenario scenario;
   try {
     scenario = sim::Scenario::from_config(merged);
   } catch (const SimError& e) {
@@ -323,6 +319,15 @@ std::string Server::handle_run(const Request& req) {
   scenario.trace_csv.clear();
   scenario.metrics_out.clear();
   scenario.events_jsonl.clear();
+  return "";
+}
+
+std::string Server::handle_run(const Request& req) {
+  Config merged;
+  sim::Scenario scenario;
+  if (std::string refused = resolve_scenario(req, merged, scenario);
+      !refused.empty())
+    return refused;
 
   std::string cache_key = canonical_scenario_key(scenario, merged);
   // hex_doubles changes the result BYTES (the report_hex block), so it
@@ -365,7 +370,6 @@ std::string Server::handle_run(const Request& req) {
   const double enqueued_us = obs::now_us();
   exec::TaskHandle handle = pool_->submit([&] {
     const double wait_us = obs::now_us() - enqueued_us;
-    queue_wait_us_.record(wait_us);
     queue_wait_sketch_.record(wait_us);
     obs::trace_emit("serve.queue_wait", enqueued_us, wait_us);
     const obs::TraceSpan run_span("serve.run");
@@ -435,27 +439,10 @@ std::string Server::handle_session_open(const Request& req) {
                           "server is draining, not accepting new sessions");
   }
   Config merged;
-  for (const auto& [key, value] : base_pairs_) merged.set(key, value);
-  for (const auto& [key, value] : req.overrides) {
-    if (is_output_override(key)) {
-      return error_response(req.id, ErrorCode::kBadRequest,
-                            "override '" + key +
-                                "' is not allowed in serve mode (results "
-                                "are returned in the response)");
-    }
-    merged.set(key, value);
-  }
-
   sim::Scenario scenario;
-  try {
-    scenario = sim::Scenario::from_config(merged);
-  } catch (const SimError& e) {
-    return error_response(req.id, ErrorCode::kBadRequest, e.what());
-  }
-  scenario.record_trace = false;
-  scenario.trace_csv.clear();
-  scenario.metrics_out.clear();
-  scenario.events_jsonl.clear();
+  if (std::string refused = resolve_scenario(req, merged, scenario);
+      !refused.empty())
+    return refused;
 
   const std::string sid = sessions_.next_id();
   std::shared_ptr<Session> session;
@@ -667,10 +654,10 @@ void Server::accept_loop(int listen_fd, bool tcp, size_t worker) {
     std::thread([this, client_fd, worker] {
       session_loop(client_fd, client_fd, worker);
       ::close(client_fd);
-      {
-        std::lock_guard<std::mutex> lock(connections_mutex_);
-        --open_connections_;
-      }
+      // Notify under the lock, so ~Server cannot destroy the condition
+      // variable before this thread is done with it.
+      std::lock_guard<std::mutex> lock(connections_mutex_);
+      --open_connections_;
       connections_done_.notify_all();
     }).detach();
   }
@@ -684,7 +671,10 @@ int Server::serve_listener(int listen_fd, bool tcp) {
   ::fcntl(wake[0], F_SETFL, O_NONBLOCK);
   ::fcntl(wake[1], F_SETFL, O_NONBLOCK);
   wake_read_fd_ = wake[0];
-  wake_write_fd_ = wake[1];
+  {
+    std::lock_guard<std::mutex> lock(wake_mutex_);
+    wake_write_fd_ = wake[1];
+  }
   g_wake_fd.store(wake[1], std::memory_order_relaxed);
   // Non-blocking accept: all workers poll the same listening socket and
   // the kernel wakes whoever it pleases; losers of the accept race must
@@ -711,10 +701,14 @@ int Server::serve_listener(int listen_fd, bool tcp) {
     std::unique_lock<std::mutex> lock(connections_mutex_);
     connections_done_.wait(lock, [&] { return open_connections_ == 0; });
   }
-  wake_write_fd_ = -1;
+  g_wake_fd.store(-1, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(wake_mutex_);
+    wake_write_fd_ = -1;
+    ::close(wake[1]);
+  }
   wake_read_fd_ = -1;
   ::close(wake[0]);
-  ::close(wake[1]);
   shutdown_flush();
   return 0;
 }

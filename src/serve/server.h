@@ -168,6 +168,11 @@ class Server {
   obs::MetricsRegistry& registry() { return registry_; }
 
  private:
+  /// The private Config and output-free Scenario of a run or
+  /// session.open request (one path, so a session streams exactly what
+  /// `run` evaluates); returns the error response on refusal, else "".
+  std::string resolve_scenario(const Request& request, Config& merged,
+                               sim::Scenario& scenario);
   std::string handle_run(const Request& request);
   std::string handle_session_open(const Request& request);
   std::string handle_session_step(const Request& request);
@@ -213,14 +218,14 @@ class Server {
   std::condition_variable connections_done_;
   size_t open_connections_ = 0;
 
-  int wake_write_fd_ = -1;  ///< self-pipe: signal handler -> accept loop
+  std::mutex wake_mutex_;  ///< held by request_stop() and the pipe close
+  int wake_write_fd_ = -1;  ///< self-pipe: request_stop -> accept loop
   int wake_read_fd_ = -1;   ///< polled by every acceptor worker
   std::atomic<int> bound_port_{0};
 
-  obs::Histogram& latency_us_;
-  obs::Histogram& queue_wait_us_;
-  /// Sketch twins of the two histograms: exact-bucket-free p50/p95/p99
-  /// for the `stats` method and the otem.metrics.v1 "sketches" section.
+  /// Request latency (frame entry to reply) and pool queue wait: the
+  /// p50/p95/p99 of the `stats` method and the otem.metrics.v1
+  /// "sketches" section.
   obs::Sketch& latency_sketch_;
   obs::Sketch& queue_wait_sketch_;
   /// session.step handling time (the headline sub-millisecond tier).

@@ -11,10 +11,9 @@ Session::Session(std::string id, const sim::Scenario& scenario,
   spec_ = core::SystemSpec::from_config(cfg);
   if (scenario.ambient_k > 0.0) spec_.ambient_k = scenario.ambient_k;
 
+  // The route's step period is the session's, as it is for `run`.
   power_ = sim::scenario_power_trace(scenario, spec_);
   OTEM_REQUIRE(!power_.empty(), "session route resolved to zero steps");
-  // The same step period the batch runner would use: the route's.
-  dt_ = power_.dt();
 
   state_ = scenario.initial;
   if (scenario.soak) {
@@ -27,45 +26,37 @@ Session::Session(std::string id, const sim::Scenario& scenario,
   // session then steps through it — or past it, with explicit requests.
   methodology_->reset(state_, power_);
 
-  metrics_.begin(sim::RunContext{spec_, dt_, /*steps=*/0, state_});
+  // The client decides when to hang up, so the mission length is open.
+  stepper_.begin(sim::RunContext{spec_, dt(), /*steps=*/0, state_},
+                 {&metrics_});
 }
 
 Session::StepOutcome Session::step(bool has_p, double p_request_w) {
   std::lock_guard<std::mutex> lock(mutex_);
-  double p_e = p_request_w;
+  StepOutcome out;
+  out.k = stepper_.steps();
+  out.p_request_w = p_request_w;
   if (!has_p) {
-    OTEM_REQUIRE(k_ < power_.size(),
+    OTEM_REQUIRE(out.k < power_.size(),
                  "session '" + id_ + "' route exhausted after " +
                      std::to_string(power_.size()) +
                      " steps; supply p_request_w to keep streaming");
-    p_e = power_[k_];
+    out.p_request_w = power_[out.k];
   }
-
-  StepOutcome out;
-  out.k = k_;
-  out.p_request_w = p_e;
-  out.rec = methodology_->step(state_, p_e, k_, dt_);
-  metrics_.record(sim::StepSample{k_, out.rec, state_, 0.0, 0.0, 0.0});
-  ++k_;
+  out.rec = methodology_->step(state_, out.p_request_w, out.k, dt());
+  stepper_.record(out.rec, state_);
   return out;
 }
 
 sim::RunResult Session::close() {
   std::lock_guard<std::mutex> lock(mutex_);
-  metrics_.end(state_);
-  sim::RunResult result = metrics_.take();
-  // begin() could not know the mission length (the client decides when
-  // to hang up), so duration-derived fields are closed here.
-  result.duration_s = static_cast<double>(k_) * dt_;
-  result.average_power_w =
-      result.duration_s > 0.0 ? result.energy_hees_j / result.duration_s
-                              : 0.0;
-  return result;
+  stepper_.end(state_);
+  return metrics_.take();
 }
 
 size_t Session::steps_done() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return k_;
+  return stepper_.steps();
 }
 
 SessionManager::SessionManager(const SessionLimits& limits,
@@ -77,8 +68,9 @@ SessionManager::SessionManager(const SessionLimits& limits,
       evicted_(registry.counter("serve.sessions_evicted")) {}
 
 std::string SessionManager::next_id() {
-  return "s" + std::to_string(
-                   next_id_.fetch_add(1, std::memory_order_relaxed));
+  std::string id = "s";
+  id += std::to_string(next_id_.fetch_add(1, std::memory_order_relaxed));
+  return id;
 }
 
 void SessionManager::erase_locked(const std::string& id) {

@@ -8,8 +8,9 @@
 // KKT factorization carried inside LtvOtemController survive ACROSS
 // protocol steps, which is what makes a streamed control decision
 // sub-millisecond where a one-shot `run` request pays a cold solve.
-// A MetricsAccumulator rides along, so session.close returns the same
-// report shape a batch run would have produced for the steps streamed.
+// Each step goes through a sim::Stepper into a MetricsAccumulator — the
+// same step accounting Simulator::run uses — so session.close returns
+// the bits a batch run would have produced for the steps streamed.
 //
 // SessionManager owns the resident table: ids are server-assigned
 // ("s1", "s2", ...), lookups touch an LRU list, and eviction is
@@ -40,6 +41,7 @@
 #include "sim/scenario.h"
 #include "sim/simulator.h"
 #include "sim/step_sink.h"
+#include "sim/stepper.h"
 
 namespace otem::serve {
 
@@ -56,7 +58,7 @@ class Session {
 
   const std::string& id() const { return id_; }
   const std::string& methodology() const { return methodology_name_; }
-  double dt() const { return dt_; }
+  double dt() const { return power_.dt(); }
   size_t route_steps() const { return power_.size(); }
 
   struct StepOutcome {
@@ -82,12 +84,11 @@ class Session {
   std::string id_;
   std::string methodology_name_;
   core::SystemSpec spec_;
-  double dt_ = 1.0;
   TimeSeries power_;
   std::unique_ptr<core::Methodology> methodology_;
   core::PlantState state_;
   sim::MetricsAccumulator metrics_;
-  size_t k_ = 0;
+  sim::Stepper stepper_;  ///< over metrics_; steps() is the next k
   mutable std::mutex mutex_;
 };
 

@@ -85,6 +85,84 @@ std::vector<MissionDraw> draw_missions(const FleetOptions& options) {
   return draws;
 }
 
+/// One mission, prepared the same way on the scalar and batched paths:
+/// spec at the drawn ambient, the synthetic route's power trace, the
+/// soaked initial state and the sink chain — metrics always, plus an
+/// optional constant-memory telemetry stream (never an in-RAM trace, so
+/// peak memory is independent of mission length), the fleet-aggregate
+/// diagnostics and a mission-local registry. The sinks borrow the slot,
+/// so it must stay put while the mission runs.
+struct MissionSlot {
+  BatchMission mission;
+  MetricsAccumulator metrics;
+  std::unique_ptr<CsvStreamSink> telemetry;
+  std::unique_ptr<DiagnosticsSink> fleet_diag;
+  std::unique_ptr<obs::MetricsRegistry> local;
+  std::unique_ptr<DiagnosticsSink> local_diag;
+
+  /// Build mission `m` from its draw; its route conditions land in
+  /// `outcome`. `shared` is the fleet-aggregate bundle (or null).
+  BatchMission& prepare(const core::SystemSpec& base_spec,
+                        const FleetOptions& options,
+                        const DiagnosticsSink::Instruments* shared,
+                        const MissionDraw& d, size_t m,
+                        MissionOutcome& outcome) {
+    mission.spec = base_spec;
+    mission.spec.ambient_k = d.ambient_k;
+    const TimeSeries speed = vehicle::generate_synthetic(
+        d.route_seed, d.duration_s, options.max_speed_mps);
+    mission.load =
+        vehicle::Powertrain(mission.spec.vehicle).power_trace(speed);
+    mission.initial.t_battery_k = d.ambient_k;  // soaked
+    mission.initial.t_coolant_k = d.ambient_k;
+    mission.initial.soe_percent = d.soe0;
+    outcome.route_seed = d.route_seed;
+    outcome.ambient_k = d.ambient_k;
+    outcome.duration_s = mission.load.duration();
+    outcome.distance_m = vehicle::stats_of(speed).distance_m;
+
+    mission.sinks = {&metrics};
+    if (!options.telemetry_csv_prefix.empty()) {
+      telemetry = std::make_unique<CsvStreamSink>(
+          options.telemetry_csv_prefix + "mission_" + std::to_string(m) +
+          ".csv");
+      mission.sinks.push_back(telemetry.get());
+    }
+    // All missions write into the one shared registry concurrently
+    // (sharded instruments make that safe); the per-mission registry
+    // captures a local view.
+    if (shared) {
+      fleet_diag = std::make_unique<DiagnosticsSink>(*shared);
+      mission.sinks.push_back(fleet_diag.get());
+    }
+    if (!options.metrics_json_prefix.empty()) {
+      local = std::make_unique<obs::MetricsRegistry>();
+      local_diag = std::make_unique<DiagnosticsSink>(*local);
+      mission.sinks.push_back(local_diag.get());
+    }
+    return mission;
+  }
+
+  /// The finished RunResult; writes the mission-local metrics file when
+  /// one was asked for.
+  RunResult finish(const FleetOptions& options, size_t m) {
+    if (local)
+      obs::write_metrics_json(options.metrics_json_prefix + "mission_" +
+                                  std::to_string(m) + ".metrics.json",
+                              *local);
+    return metrics.take();
+  }
+};
+
+/// Resolve the shared-registry instruments ONCE; every mission's sink
+/// reuses the bundle instead of paying 20 registry lookups each.
+std::unique_ptr<DiagnosticsSink::Instruments> shared_instruments(
+    const FleetOptions& options) {
+  if (!options.metrics) return nullptr;
+  return std::make_unique<DiagnosticsSink::Instruments>(
+      *options.metrics, options.metrics_prefix);
+}
+
 // Serial, mission-order reduction shared by the scalar and batched
 // paths, so accumulation is bit-identical regardless of which thread
 // (or lane) finished first. Streams in one pass — no per-metric
@@ -110,16 +188,10 @@ FleetResult evaluate_fleet(
         const core::SystemSpec&)>& factory,
     const FleetOptions& options) {
   const std::vector<MissionDraw> draws = draw_missions(options);
+  const auto instruments = shared_instruments(options);
 
   FleetResult out;
   out.missions.resize(options.missions);
-
-  // Resolve the shared-registry instruments ONCE; every mission's sink
-  // reuses the bundle instead of paying 15 registry lookups each.
-  std::unique_ptr<DiagnosticsSink::Instruments> shared_instruments;
-  if (options.metrics)
-    shared_instruments = std::make_unique<DiagnosticsSink::Instruments>(
-        *options.metrics, options.metrics_prefix);
 
   // Missions are independent given their draw: each builds its own
   // spec, methodology and simulator, and writes only its own slot.
@@ -127,62 +199,17 @@ FleetResult evaluate_fleet(
       options.missions,
       [&](size_t m) {
         const obs::TraceSpan mission_span("fleet.mission");
-        const MissionDraw& d = draws[m];
-        MissionOutcome& mission = out.missions[m];
-        mission.route_seed = d.route_seed;
-        mission.ambient_k = d.ambient_k;
-
-        core::SystemSpec spec = base_spec;
-        spec.ambient_k = d.ambient_k;
-
-        const TimeSeries speed = vehicle::generate_synthetic(
-            d.route_seed, d.duration_s, options.max_speed_mps);
-        const TimeSeries load =
-            vehicle::Powertrain(spec.vehicle).power_trace(speed);
-        mission.duration_s = load.duration();
-        mission.distance_m = vehicle::stats_of(speed).distance_m;
-
+        MissionSlot slot;
+        const BatchMission& mission = slot.prepare(
+            base_spec, options, instruments.get(), draws[m], m,
+            out.missions[m]);
         RunOptions ropt;
         ropt.record_trace = false;
-        ropt.initial.t_battery_k = d.ambient_k;  // soaked
-        ropt.initial.t_coolant_k = d.ambient_k;
-        ropt.initial.soe_percent = d.soe0;
-
-        auto methodology = factory(spec);
-        // Sink pipeline instead of run(): metrics always, plus an
-        // optional constant-memory telemetry stream — never an in-RAM
-        // trace, so peak memory is independent of mission length.
-        MetricsAccumulator metrics;
-        std::vector<StepSink*> sinks{&metrics};
-        std::unique_ptr<CsvStreamSink> telemetry;
-        if (!options.telemetry_csv_prefix.empty()) {
-          telemetry = std::make_unique<CsvStreamSink>(
-              options.telemetry_csv_prefix + "mission_" +
-              std::to_string(m) + ".csv");
-          sinks.push_back(telemetry.get());
-        }
-        // Fleet-aggregate diagnostics: all missions write into the one
-        // shared registry concurrently (sharded instruments make that
-        // safe); the per-mission registry captures a local view.
-        std::unique_ptr<DiagnosticsSink> fleet_diag;
-        if (shared_instruments) {
-          fleet_diag =
-              std::make_unique<DiagnosticsSink>(*shared_instruments);
-          sinks.push_back(fleet_diag.get());
-        }
-        std::unique_ptr<obs::MetricsRegistry> local;
-        std::unique_ptr<DiagnosticsSink> local_diag;
-        if (!options.metrics_json_prefix.empty()) {
-          local = std::make_unique<obs::MetricsRegistry>();
-          local_diag = std::make_unique<DiagnosticsSink>(*local);
-          sinks.push_back(local_diag.get());
-        }
-        Simulator(spec).run_with_sinks(*methodology, load, ropt, sinks);
-        mission.result = metrics.take();
-        if (local)
-          obs::write_metrics_json(options.metrics_json_prefix + "mission_" +
-                                      std::to_string(m) + ".metrics.json",
-                                  *local);
+        ropt.initial = mission.initial;
+        Simulator(mission.spec)
+            .run_with_sinks(*factory(mission.spec), mission.load, ropt,
+                            mission.sinks);
+        out.missions[m].result = slot.finish(options, m);
       },
       options.threads);
 
@@ -197,70 +224,21 @@ FleetResult evaluate_fleet_batched(
     const FleetOptions& options) {
   OTEM_REQUIRE(options.batch_lanes >= 1, "fleet needs >= 1 batch lane");
   const std::vector<MissionDraw> draws = draw_missions(options);
+  const auto instruments = shared_instruments(options);
 
   FleetResult out;
   out.missions.resize(options.missions);
 
-  std::unique_ptr<DiagnosticsSink::Instruments> shared_instruments;
-  if (options.metrics)
-    shared_instruments = std::make_unique<DiagnosticsSink::Instruments>(
-        *options.metrics, options.metrics_prefix);
-
   // One slot per mission, pre-sized so addresses stay stable while a
   // PlantBatch borrows them. A slot is prepared (route, load, sinks)
   // by the worker that claims it, just before its lane activates.
-  struct MissionSlot {
-    BatchMission mission;
-    MetricsAccumulator metrics;
-    std::unique_ptr<CsvStreamSink> telemetry;
-    std::unique_ptr<DiagnosticsSink> fleet_diag;
-    std::unique_ptr<obs::MetricsRegistry> local;
-    std::unique_ptr<DiagnosticsSink> local_diag;
-  };
   std::vector<MissionSlot> slots(options.missions);
-
   auto prepare = [&](size_t m) -> BatchMission* {
     // Lane packing/backfill: called whenever a worker's PlantBatch
     // claims the next mission off the shared cursor.
     const obs::TraceSpan prepare_span("fleet.batch.prepare");
-    const MissionDraw& d = draws[m];
-    MissionOutcome& mission = out.missions[m];
-    mission.route_seed = d.route_seed;
-    mission.ambient_k = d.ambient_k;
-
-    MissionSlot& slot = slots[m];
-    slot.mission.spec = base_spec;
-    slot.mission.spec.ambient_k = d.ambient_k;
-
-    const TimeSeries speed = vehicle::generate_synthetic(
-        d.route_seed, d.duration_s, options.max_speed_mps);
-    slot.mission.load =
-        vehicle::Powertrain(slot.mission.spec.vehicle).power_trace(speed);
-    mission.duration_s = slot.mission.load.duration();
-    mission.distance_m = vehicle::stats_of(speed).distance_m;
-
-    slot.mission.initial.t_battery_k = d.ambient_k;  // soaked
-    slot.mission.initial.t_coolant_k = d.ambient_k;
-    slot.mission.initial.soe_percent = d.soe0;
-
-    slot.mission.sinks = {&slot.metrics};
-    if (!options.telemetry_csv_prefix.empty()) {
-      slot.telemetry = std::make_unique<CsvStreamSink>(
-          options.telemetry_csv_prefix + "mission_" + std::to_string(m) +
-          ".csv");
-      slot.mission.sinks.push_back(slot.telemetry.get());
-    }
-    if (shared_instruments) {
-      slot.fleet_diag =
-          std::make_unique<DiagnosticsSink>(*shared_instruments);
-      slot.mission.sinks.push_back(slot.fleet_diag.get());
-    }
-    if (!options.metrics_json_prefix.empty()) {
-      slot.local = std::make_unique<obs::MetricsRegistry>();
-      slot.local_diag = std::make_unique<DiagnosticsSink>(*slot.local);
-      slot.mission.sinks.push_back(slot.local_diag.get());
-    }
-    return &slot.mission;
+    return &slots[m].prepare(base_spec, options, instruments.get(), draws[m],
+                             m, out.missions[m]);
   };
 
   // One PlantBatch per worker; workers claim missions from a shared
@@ -286,13 +264,8 @@ FleetResult evaluate_fleet_batched(
       },
       workers);
 
-  for (size_t m = 0; m < options.missions; ++m) {
-    out.missions[m].result = slots[m].metrics.take();
-    if (slots[m].local)
-      obs::write_metrics_json(options.metrics_json_prefix + "mission_" +
-                                  std::to_string(m) + ".metrics.json",
-                              *slots[m].local);
-  }
+  for (size_t m = 0; m < options.missions; ++m)
+    out.missions[m].result = slots[m].finish(options, m);
 
   if (options.metrics) {
     PlantBatchCounters total;

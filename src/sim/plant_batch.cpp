@@ -1,8 +1,5 @@
 #include "sim/plant_batch.h"
 
-#include <algorithm>
-#include <limits>
-
 #include "common/error.h"
 
 namespace otem::sim {
@@ -23,32 +20,17 @@ PlantBatch::PlantBatch(std::unique_ptr<core::BatchMethodology> methodology)
 bool PlantBatch::activate(size_t lane, BatchMission* mission) {
   if (!mission) return false;
   OTEM_REQUIRE(!mission->load.empty(), "empty power request trace");
-  for (StepSink* sink : mission->sinks)
-    OTEM_REQUIRE(sink != nullptr, "null step sink attached");
   const double dt = mission->load.dt();
   if (dt_ == 0.0) dt_ = dt;
   OTEM_REQUIRE(dt == dt_, "batch missions must share one step period");
 
-  Lane& ln = lane_[lane];
-  ln.mission = mission;
-  ln.k = 0;
-  ln.steps = mission->load.size();
-  ln.qloss_cum = 0.0;
-  ln.want_teb =
-      std::any_of(mission->sinks.begin(), mission->sinks.end(),
-                  [](const StepSink* s) { return s->wants_teb(); });
-  ln.teb.reset();
-  if (ln.want_teb) ln.teb.emplace(mission->spec);
-  ln.every_step.clear();
-  ln.eventful_only.clear();
-  for (StepSink* sink : mission->sinks)
-    (sink->eventful_samples_only() ? ln.eventful_only : ln.every_step)
-        .push_back(sink);
-
   methodology_->reset_lane(lane, mission->spec.ambient_k);
   state_.scatter(lane, mission->initial);
-  const RunContext ctx{mission->spec, dt_, ln.steps, mission->initial};
-  for (StepSink* sink : mission->sinks) sink->begin(ctx);
+  Lane& ln = lane_[lane];
+  ln.mission = mission;
+  ln.stepper.begin(
+      RunContext{mission->spec, dt_, mission->load.size(), mission->initial},
+      mission->sinks);
 
   active_[lane] = 1;
   ++live_;
@@ -57,8 +39,7 @@ bool PlantBatch::activate(size_t lane, BatchMission* mission) {
 
 void PlantBatch::retire(size_t lane) {
   Lane& ln = lane_[lane];
-  const core::PlantState final_state = state_.gather(lane);
-  for (StepSink* sink : ln.mission->sinks) sink->end(final_state);
+  ln.stepper.end(state_.gather(lane));
   ln.mission = nullptr;
   active_[lane] = 0;
   --live_;
@@ -78,7 +59,8 @@ void PlantBatch::run(const MissionSource& source) {
   while (live_ > 0) {
     // Gather this sweep's power requests; parked lanes draw 0 W.
     for (size_t l = 0; l < n; ++l)
-      p_[l] = active_[l] ? lane_[l].mission->load[lane_[l].k] : 0.0;
+      p_[l] = active_[l] ? lane_[l].mission->load[lane_[l].stepper.steps()]
+                         : 0.0;
 
     methodology_->step_lanes(state_, p_.data(), active_.data(), dt_,
                              rec_.data());
@@ -88,21 +70,10 @@ void PlantBatch::run(const MissionSource& source) {
     for (size_t l = 0; l < n; ++l) {
       if (!active_[l]) continue;
       Lane& ln = lane_[l];
-      const core::StepRecord& rec = rec_[l];
-      ln.qloss_cum += rec.qloss_percent;
-      const double teb =
-          ln.want_teb ? ln.teb->evaluate(rec.state_after).combined()
-                      : std::numeric_limits<double>::quiet_NaN();
       // rec.state_after carries the post-step state — the same values
-      // the scalar loop passes as StepSample::state.
-      const StepSample sample{ln.k,  rec, rec.state_after,
-                              ln.qloss_cum, teb, 0.0};
-      for (StepSink* sink : ln.every_step) sink->record(sample);
-      if (!ln.eventful_only.empty() &&
-          (!rec.feasible || rec.solve.present || ln.k + 1 == ln.steps))
-        for (StepSink* sink : ln.eventful_only) sink->record(sample);
-
-      if (++ln.k == ln.steps) {
+      // the scalar loop hands its Stepper.
+      ln.stepper.record(rec_[l], rec_[l].state_after);
+      if (ln.stepper.steps() == ln.mission->load.size()) {
         retire(l);
         if (activate(l, source())) ++counters_.backfills;
       }

@@ -8,18 +8,16 @@
 // queue drains. The arena and scratch are reused across missions and
 // across run() calls — steady-state stepping allocates nothing.
 //
-// Sink protocol: each mission's StepSinks get the same begin / record /
-// end sequence the scalar Simulator::run_with_sinks delivers, with the
-// same eventful-sample split. Two deliberate differences: batch steps
-// are never wall-clock timed (step_time_us is always 0 and "timed"
-// never makes a sample eventful — per-lane timing inside a lockstep
-// sweep is meaningless), and cooperative stop tokens are not consulted
-// (fleet batches are short-lived). MetricsAccumulator consumes every
-// sample, so RunResults are bit-identical to the scalar oracle.
-//
-// Every sink's begin() runs at lane activation — including backfill
-// activation — so per-run accumulators seeded from the initial state
-// (e.g. RunResult::max_t_battery_k) can never inherit a previous
+// Sink protocol: each lane holds a sim::Stepper (sim/stepper.h), the
+// step accounting Simulator::run_with_sinks uses, so every mission's
+// StepSinks see the scalar path's begin / record / end sequence and
+// eventful split, and RunResults are bit-identical to the scalar
+// oracle. Two deliberate differences: lanes are never wall-clock timed
+// (step_time_us is always 0 — per-lane timing inside a lockstep sweep
+// is meaningless), and stop tokens are not consulted (fleet batches are
+// short-lived). The Stepper is re-armed at every lane activation,
+// backfills included, so accumulators seeded from the initial state
+// (e.g. RunResult::max_t_battery_k) never inherit a previous
 // occupant's extrema.
 #pragma once
 
@@ -27,13 +25,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/timeseries.h"
 #include "core/batch_methodology.h"
-#include "core/teb.h"
 #include "sim/step_sink.h"
+#include "sim/stepper.h"
 
 namespace otem::sim {
 
@@ -81,18 +78,13 @@ class PlantBatch {
  private:
   struct Lane {
     BatchMission* mission = nullptr;
-    size_t k = 0;           ///< next step index
-    size_t steps = 0;       ///< mission length
-    double qloss_cum = 0.0;
-    bool want_teb = false;
-    std::optional<core::TebMetric> teb;
-    std::vector<StepSink*> every_step;
-    std::vector<StepSink*> eventful_only;
+    Stepper stepper;  ///< steps() is the lane's next step index
   };
 
   /// Arm `lane` with `mission`: validates dt, resets per-lane
-  /// controller state, scatters the initial plant state and runs every
-  /// sink's begin(). Returns false when mission == nullptr.
+  /// controller state, scatters the initial plant state and arms the
+  /// lane's Stepper (every sink's begin()). Returns false when
+  /// mission == nullptr.
   bool activate(size_t lane, BatchMission* mission);
   void retire(size_t lane);
 

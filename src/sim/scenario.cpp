@@ -75,20 +75,6 @@ ScenarioOutcome run_scenario(const Scenario& scenario, const Config& cfg) {
   return run_scenario(scenario, core::SystemSpec::from_config(cfg), cfg);
 }
 
-ScenarioOutcome run_scenario(const Scenario& scenario,
-                             const core::SystemSpec& base_spec,
-                             const Config& cfg) {
-  return run_scenario(scenario, base_spec, cfg, {});
-}
-
-ScenarioOutcome run_scenario(const Scenario& scenario,
-                             const core::SystemSpec& base_spec,
-                             const Config& cfg,
-                             const std::vector<StepSink*>& extra_sinks) {
-  return run_scenario(scenario, base_spec, cfg, extra_sinks,
-                      exec::StopToken());
-}
-
 namespace {
 /// Turns tracing on for a trace_out= run and restores the previous
 /// state on scope exit (exception-safe; concurrent runs that also

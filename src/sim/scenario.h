@@ -102,26 +102,16 @@ ScenarioOutcome run_scenario(const Scenario& scenario, const Config& cfg);
 
 /// Run `scenario` against an explicit spec (sweeps that mutate the
 /// spec programmatically); `cfg` still feeds the methodology factory.
-ScenarioOutcome run_scenario(const Scenario& scenario,
-                             const core::SystemSpec& spec,
-                             const Config& cfg);
-
-/// As above, with caller-owned sinks appended to the scenario's own
+/// `extra_sinks` are caller-owned sinks appended to the scenario's own
 /// chain — how otem_cli compare aggregates per-method diagnostics into
-/// one registry.
-ScenarioOutcome run_scenario(const Scenario& scenario,
-                             const core::SystemSpec& spec,
-                             const Config& cfg,
-                             const std::vector<StepSink*>& extra_sinks);
-
-/// Fully-general form: `stop` is consulted before every plant step (see
+/// one registry. `stop` is consulted before every plant step (see
 /// RunOptions::stop) — the serve daemon passes its per-request token
 /// here so deadlines and drain cancellation reach the step loop. Throws
 /// otem::SimCancelled when the token fires mid-mission.
 ScenarioOutcome run_scenario(const Scenario& scenario,
                              const core::SystemSpec& spec,
                              const Config& cfg,
-                             const std::vector<StepSink*>& extra_sinks,
-                             const exec::StopToken& stop);
+                             const std::vector<StepSink*>& extra_sinks = {},
+                             const exec::StopToken& stop = {});
 
 }  // namespace otem::sim

@@ -1,19 +1,16 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
 #include <limits>
-#include <numeric>
 
 #include "common/error.h"
-#include "obs/metrics.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
 #include "sim/step_sink.h"
+#include "sim/stepper.h"
 
 namespace otem::sim {
 
-Simulator::Simulator(const core::SystemSpec& spec)
-    : spec_(spec), teb_(spec) {}
+Simulator::Simulator(const core::SystemSpec& spec) : spec_(spec) {}
 
 RunResult Simulator::run(core::Methodology& methodology,
                          const TimeSeries& power_request,
@@ -33,34 +30,13 @@ void Simulator::run_with_sinks(core::Methodology& methodology,
                                const RunOptions& options,
                                const std::vector<StepSink*>& sinks) const {
   OTEM_REQUIRE(!power_request.empty(), "empty power request trace");
-  for (StepSink* sink : sinks)
-    OTEM_REQUIRE(sink != nullptr, "null step sink attached");
   const double dt = power_request.dt();
   const size_t steps = power_request.size();
 
   core::PlantState state = options.initial;
   methodology.reset(state, power_request);
+  Stepper stepper(RunContext{spec_, dt, steps, options.initial}, sinks);
 
-  const RunContext ctx{spec_, dt, steps, options.initial};
-  for (StepSink* sink : sinks) sink->begin(ctx);
-
-  // TEB costs a model evaluation per step; skip it unless some sink
-  // actually consumes it (the trace/CSV sinks do, metrics does not).
-  const bool want_teb =
-      std::any_of(sinks.begin(), sinks.end(),
-                  [](const StepSink* s) { return s->wants_teb(); });
-  // Same deal for step timing, but SAMPLED: each sink declares the
-  // stride it wants timed (0 = none), and the loop clocks step k when
-  // the gcd of those strides divides k. That keeps reactive baselines —
-  // whose whole step is a few hundred ns — inside the instrumentation
-  // overhead budget while still filling the latency histograms.
-  size_t timing_stride = 0;
-  if (obs::enabled()) {
-    for (const StepSink* sink : sinks) {
-      const size_t s = sink->timing_stride();
-      if (s) timing_stride = timing_stride ? std::gcd(timing_stride, s) : s;
-    }
-  }
   // Tracing reuses the sampled step timings as sim.step spans — no
   // extra clock reads on already-timed steps. When tracing is on but
   // no sink asked for timing, sample at the diagnostics stride
@@ -68,18 +44,11 @@ void Simulator::run_with_sinks(core::Methodology& methodology,
   // the step cadence.
   const bool tracing = obs::trace_enabled();
   constexpr size_t kTraceStepStride = 64;
+  size_t timing_stride = stepper.timing_stride();
   if (tracing && timing_stride == 0) timing_stride = kTraceStepStride;
-
-  // Diagnostics sinks only want EVENTFUL samples; splitting the chain
-  // once here keeps the per-step loop free of per-sink predicates.
-  std::vector<StepSink*> every_step, eventful_only;
-  for (StepSink* sink : sinks)
-    (sink->eventful_samples_only() ? eventful_only : every_step)
-        .push_back(sink);
 
   const obs::TraceSpan run_span("sim.run");
 
-  double qloss_cum = 0.0;
   // next_timed tracks the multiples of timing_stride without a per-step
   // modulo (a runtime-divisor div in the hottest loop of the codebase).
   size_t next_timed = timing_stride ? 0 : std::numeric_limits<size_t>::max();
@@ -88,7 +57,7 @@ void Simulator::run_with_sinks(core::Methodology& methodology,
       // Cooperative cancellation: finalize every sink with the state as
       // of the last completed step, so streams close and totals are
       // consistent (just short), THEN report the abandonment.
-      for (StepSink* sink : sinks) sink->end(state);
+      stepper.end(state);
       throw SimCancelled(
           options.stop.deadline_expired()
               ? "simulation deadline expired at step " + std::to_string(k) +
@@ -103,18 +72,10 @@ void Simulator::run_with_sinks(core::Methodology& methodology,
         methodology.step(state, power_request[k], k, dt);
     const double step_us = timed ? obs::now_us() - t0 : 0.0;
     if (timed && tracing) obs::trace_emit("sim.step", t0, step_us);
-    qloss_cum += rec.qloss_percent;
-    const double teb = want_teb
-                           ? teb_.evaluate(state).combined()
-                           : std::numeric_limits<double>::quiet_NaN();
-    const StepSample sample{k, rec, state, qloss_cum, teb, step_us};
-    for (StepSink* sink : every_step) sink->record(sample);
-    if (!eventful_only.empty() &&
-        (timed || !rec.feasible || rec.solve.present || k + 1 == steps))
-      for (StepSink* sink : eventful_only) sink->record(sample);
+    stepper.record(rec, state, step_us, timed);
   }
 
-  for (StepSink* sink : sinks) sink->end(state);
+  stepper.end(state);
 }
 
 }  // namespace otem::sim

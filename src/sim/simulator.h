@@ -2,8 +2,8 @@
 // loop, generalised over methodologies).
 //
 // Drives any Methodology through a power-request trace. The step loop
-// itself is thin: per step it advances the plant and pushes a
-// StepSample through a chain of StepSinks (sim/step_sink.h) that own
+// itself is thin: per step it advances the plant and hands the step to
+// a sim::Stepper (sim/stepper.h), which feeds the StepSinks that own
 // all accounting — RunResult arithmetic, the in-RAM trace, streaming
 // CSV telemetry. run() is the classic convenience wrapper (metrics +
 // optional trace); run_with_sinks() is the composable entry point.
@@ -14,7 +14,6 @@
 #include "common/timeseries.h"
 #include "core/methodology.h"
 #include "core/system_spec.h"
-#include "core/teb.h"
 #include "exec/stop_token.h"
 
 namespace otem::sim {
@@ -100,7 +99,6 @@ class Simulator {
 
  private:
   core::SystemSpec spec_;
-  core::TebMetric teb_;
 };
 
 }  // namespace otem::sim

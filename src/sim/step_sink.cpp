@@ -12,7 +12,7 @@ namespace otem::sim {
 void MetricsAccumulator::begin(const RunContext& ctx) {
   result_ = RunResult{};
   dt_ = ctx.dt;
-  steps_ = ctx.steps;
+  steps_ = 0;
   t_max_k_ = ctx.spec.thermal.max_battery_temp_k;
   // Seed from the initial state: a pack that starts hot and only cools
   // still peaked at its starting temperature.
@@ -21,6 +21,7 @@ void MetricsAccumulator::begin(const RunContext& ctx) {
 
 void MetricsAccumulator::record(const StepSample& sample) {
   const core::StepRecord& rec = sample.rec;
+  ++steps_;
   result_.qloss_percent += rec.qloss_percent;
   result_.energy_battery_j += rec.e_bat_j;
   result_.energy_cap_j += rec.e_cap_j;
@@ -37,7 +38,9 @@ void MetricsAccumulator::record(const StepSample& sample) {
 void MetricsAccumulator::end(const core::PlantState& final_state) {
   result_.duration_s = static_cast<double>(steps_) * dt_;
   result_.energy_hees_j = result_.energy_battery_j + result_.energy_cap_j;
-  result_.average_power_w = result_.energy_hees_j / result_.duration_s;
+  result_.average_power_w = steps_ > 0
+                                ? result_.energy_hees_j / result_.duration_s
+                                : 0.0;
   result_.final_state = final_state;
 }
 

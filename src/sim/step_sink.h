@@ -1,9 +1,9 @@
 // step_sink.h — streaming per-step telemetry pipeline.
 //
-// The simulator's step loop no longer owns any accounting: it pushes
-// one StepSample per plant step through a chain of StepSinks, and the
-// sinks decide what becomes of the telemetry. Three ship with the
-// library:
+// The step loops own no accounting: a sim::Stepper (sim/stepper.h)
+// pushes one StepSample per plant step through a chain of StepSinks,
+// and the sinks decide what becomes of the telemetry. Three ship with
+// the library:
 //
 //   MetricsAccumulator — the RunResult arithmetic (Algorithm 1 outputs,
 //                        energy breakdown, thermal safety), O(1) memory.
@@ -31,7 +31,7 @@ namespace otem::sim {
 struct RunContext {
   const core::SystemSpec& spec;
   double dt = 1.0;            ///< step period [s]
-  size_t steps = 0;           ///< mission length
+  size_t steps = 0;           ///< mission length; 0 = open (a session)
   core::PlantState initial;   ///< state before the first step
 };
 
@@ -57,7 +57,7 @@ class StepSink {
  public:
   virtual ~StepSink() = default;
 
-  /// True when this sink consumes StepSample::teb; the simulator skips
+  /// True when this sink consumes StepSample::teb; the Stepper skips
   /// the TEB evaluation entirely when no attached sink wants it.
   virtual bool wants_teb() const { return false; }
 
@@ -72,7 +72,7 @@ class StepSink {
   /// True when this sink only needs EVENTFUL samples: wall-clock timed,
   /// infeasible, solver-backed (solve.present), or the final step of
   /// the run (always delivered, so running totals can close). The
-  /// simulator skips the record() call entirely on uneventful steps —
+  /// Stepper skips the record() call entirely on uneventful steps —
   /// for a reactive baseline that turns per-step diagnostics dispatch
   /// into nothing. Sinks that consume the full telemetry stream (trace,
   /// CSV, accounting) keep the default false.
@@ -88,7 +88,8 @@ class StepSink {
 /// Owns the RunResult arithmetic the simulator used to inline: same
 /// accumulation order step by step, so results stay bit-identical.
 /// max_t_battery_k is seeded from the initial state, so a mission that
-/// only ever cools reports its true (initial) maximum.
+/// only ever cools reports its true (initial) maximum. duration_s counts
+/// the steps recorded, so a cancelled run or a session closes exactly.
 class MetricsAccumulator final : public StepSink {
  public:
   void begin(const RunContext& ctx) override;
@@ -103,7 +104,7 @@ class MetricsAccumulator final : public StepSink {
   RunResult result_;
   double dt_ = 1.0;
   double t_max_k_ = 0.0;
-  size_t steps_ = 0;
+  size_t steps_ = 0;  ///< samples recorded since begin()
 };
 
 /// Records the full in-RAM RunTrace (the pre-refactor record_trace

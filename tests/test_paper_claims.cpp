@@ -2,16 +2,17 @@
 // workloads (US06 x2 instead of the benches' x3-x5 — same shape,
 // smaller runtime). If a refactor or recalibration breaks the
 // reproduction, this suite fails before the benches are ever run.
+//
+// The OTEM claims run on both transcriptions of the controller: the
+// paper's shooting formulation ("otem") and the LTV-QP one the serve
+// daemon streams ("otem-ltv", at its shipped full-SQP settings), so the
+// controller we optimize and serve is held to the same claims.
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 #include <string>
 
-#include "core/cooling_methodology.h"
-#include "core/dual_methodology.h"
-#include "core/otem/otem_methodology.h"
-#include "core/parallel_methodology.h"
+#include "core/methodology_registry.h"
 #include "sim/simulator.h"
 #include "vehicle/drive_cycle.h"
 #include "vehicle/powertrain.h"
@@ -19,71 +20,37 @@
 namespace otem {
 namespace {
 
-/// One shared evaluation: all four methodologies on US06 x2 at the
-/// paper's 25 C / 25 kF configuration. Computed once for the suite.
-class PaperClaims : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    const core::SystemSpec spec = core::SystemSpec::from_config(Config());
-    const TimeSeries power =
-        vehicle::Powertrain(spec.vehicle)
-            .power_trace(vehicle::generate(vehicle::CycleName::kUs06))
-            .repeated(2);
-    const sim::Simulator sim(spec);
-    auto run = [&](std::unique_ptr<core::Methodology> m) {
-      sim::RunOptions opt;
-      opt.record_trace = false;
-      return sim.run(*m, power, opt);
-    };
-    results_ = new std::map<std::string, sim::RunResult>;
-    (*results_)["parallel"] =
-        run(std::make_unique<core::ParallelMethodology>(spec));
-    (*results_)["active_cooling"] =
-        run(std::make_unique<core::CoolingMethodology>(spec));
-    (*results_)["dual"] = run(std::make_unique<core::DualMethodology>(spec));
-    (*results_)["otem"] = run(std::make_unique<core::OtemMethodology>(spec));
-    spec_ = new core::SystemSpec(spec);
-  }
-
-  static void TearDownTestSuite() {
-    delete results_;
-    delete spec_;
-    results_ = nullptr;
-    spec_ = nullptr;
-  }
-
-  static const sim::RunResult& at(const std::string& name) {
-    return results_->at(name);
-  }
-
-  static std::map<std::string, sim::RunResult>* results_;
-  static core::SystemSpec* spec_;
-};
-
-std::map<std::string, sim::RunResult>* PaperClaims::results_ = nullptr;
-core::SystemSpec* PaperClaims::spec_ = nullptr;
-
-TEST_F(PaperClaims, OtemHasLowestCapacityLoss) {
-  // Fig. 8 / Table I: OTEM's BLT improvement over every baseline.
-  EXPECT_LT(at("otem").qloss_percent, at("parallel").qloss_percent);
-  EXPECT_LT(at("otem").qloss_percent, at("dual").qloss_percent);
-  EXPECT_LT(at("otem").qloss_percent, at("active_cooling").qloss_percent);
+const core::SystemSpec& paper_spec() {
+  static const core::SystemSpec spec = core::SystemSpec::from_config(Config());
+  return spec;
 }
 
-TEST_F(PaperClaims, OtemReductionVsParallelIsSubstantial) {
-  // Paper: 16.38 % average reduction, 57 % on US06 (Table I). Demand at
-  // least 20 % here.
-  EXPECT_LT(at("otem").qloss_percent, 0.8 * at("parallel").qloss_percent);
+/// `name` on US06 x2 under `spec`, through the registry every front-end
+/// uses.
+sim::RunResult run_us06(const std::string& name, const core::SystemSpec& spec) {
+  const TimeSeries power =
+      vehicle::Powertrain(spec.vehicle)
+          .power_trace(vehicle::generate(vehicle::CycleName::kUs06))
+          .repeated(2);
+  auto m = core::make_methodology(name, spec, Config());
+  sim::RunOptions opt;
+  opt.record_trace = false;
+  return sim::Simulator(spec).run(*m, power, opt);
 }
 
-TEST_F(PaperClaims, OtemConsumesLessThanPureActiveCooling) {
-  // Fig. 9: 12.1 % average power reduction vs cooling-only. Demand a
-  // positive margin here.
-  EXPECT_LT(at("otem").average_power_w,
-            0.99 * at("active_cooling").average_power_w);
+/// Every methodology at the paper's 25 C / 25 kF configuration, each
+/// computed once, on first use, for the whole binary.
+const sim::RunResult& at(const std::string& name) {
+  static std::map<std::string, sim::RunResult> results;
+  auto it = results.find(name);
+  if (it == results.end())
+    it = results.emplace(name, run_us06(name, paper_spec())).first;
+  return it->second;
 }
 
-TEST_F(PaperClaims, ActiveCoolingIsTheMostPowerHungry) {
+// --- baseline claims -------------------------------------------------------
+
+TEST(PaperClaims, ActiveCoolingIsTheMostPowerHungry) {
   // Fig. 9: "methodologies which use active battery cooling system have
   // consumed more energy compared to others" — and the blunt fixed-
   // inlet baseline tops the list.
@@ -93,56 +60,78 @@ TEST_F(PaperClaims, ActiveCoolingIsTheMostPowerHungry) {
             at("dual").average_power_w);
 }
 
-TEST_F(PaperClaims, UnmanagedArchitecturesViolateThermalLimits) {
+TEST(PaperClaims, UnmanagedArchitecturesViolateThermalLimits) {
   // Figs. 1/6: without active cooling the aggressive cycle drives the
   // pack past the safe threshold.
   EXPECT_GT(at("parallel").max_t_battery_k,
-            spec_->thermal.max_battery_temp_k);
-  EXPECT_GT(at("dual").max_t_battery_k, spec_->thermal.max_battery_temp_k);
+            paper_spec().thermal.max_battery_temp_k);
+  EXPECT_GT(at("dual").max_t_battery_k,
+            paper_spec().thermal.max_battery_temp_k);
 }
 
-TEST_F(PaperClaims, OtemStaysInTheSafeZone) {
-  // The paper's C1 promise.
-  EXPECT_LE(at("otem").thermal_violation_s, 5.0);
-  EXPECT_LT(at("otem").max_t_battery_k,
-            spec_->thermal.max_battery_temp_k + 0.5);
-}
-
-TEST_F(PaperClaims, OtemServesTheFullLoad) {
-  // Floating-point boundary grazing accumulates nanojoules; anything a
-  // driver could feel would be kilojoules.
-  EXPECT_LT(at("otem").unserved_energy_j, 1.0);
-}
-
-TEST_F(PaperClaims, ParallelDegradesWithSmallerBank) {
+TEST(PaperClaims, ParallelDegradesWithSmallerBank) {
   // Table I, parallel column: qloss grows as the bank shrinks.
-  const core::SystemSpec small = spec_->with_ultracap_size(5000.0);
-  const TimeSeries power =
-      vehicle::Powertrain(small.vehicle)
-          .power_trace(vehicle::generate(vehicle::CycleName::kUs06))
-          .repeated(2);
-  core::ParallelMethodology m(small);
-  sim::RunOptions opt;
-  opt.record_trace = false;
-  const sim::RunResult r = sim::Simulator(small).run(m, power, opt);
+  const sim::RunResult r =
+      run_us06("parallel", paper_spec().with_ultracap_size(5000.0));
   EXPECT_GT(r.qloss_percent, at("parallel").qloss_percent);
 }
 
-TEST_F(PaperClaims, OtemIsNearlyBankSizeIndependent) {
+// --- OTEM claims, per controller -------------------------------------------
+
+class OtemClaims : public ::testing::TestWithParam<std::string> {
+ protected:
+  const sim::RunResult& otem() const { return at(GetParam()); }
+};
+
+TEST_P(OtemClaims, OtemHasLowestCapacityLoss) {
+  // Fig. 8 / Table I: OTEM's BLT improvement over every baseline.
+  EXPECT_LT(otem().qloss_percent, at("parallel").qloss_percent);
+  EXPECT_LT(otem().qloss_percent, at("dual").qloss_percent);
+  EXPECT_LT(otem().qloss_percent, at("active_cooling").qloss_percent);
+}
+
+TEST_P(OtemClaims, OtemReductionVsParallelIsSubstantial) {
+  // Paper: 16.38 % average reduction, 57 % on US06 (Table I). Demand at
+  // least 20 % here.
+  EXPECT_LT(otem().qloss_percent, 0.8 * at("parallel").qloss_percent);
+}
+
+TEST_P(OtemClaims, OtemConsumesLessThanPureActiveCooling) {
+  // Fig. 9: 12.1 % average power reduction vs cooling-only. Demand a
+  // positive margin here.
+  EXPECT_LT(otem().average_power_w,
+            0.99 * at("active_cooling").average_power_w);
+}
+
+TEST_P(OtemClaims, OtemStaysInTheSafeZone) {
+  // The paper's C1 promise.
+  EXPECT_LE(otem().thermal_violation_s, 5.0);
+  EXPECT_LT(otem().max_t_battery_k,
+            paper_spec().thermal.max_battery_temp_k + 0.5);
+}
+
+TEST_P(OtemClaims, OtemServesTheFullLoad) {
+  // Floating-point boundary grazing accumulates nanojoules; anything a
+  // driver could feel would be kilojoules.
+  EXPECT_LT(otem().unserved_energy_j, 1.0);
+}
+
+TEST_P(OtemClaims, OtemIsNearlyBankSizeIndependent) {
   // Table I: "the OTEM ... is not much dependent on the ultracapacitor
   // size" — a 5 kF OTEM still beats the 25 kF parallel baseline.
-  const core::SystemSpec small = spec_->with_ultracap_size(5000.0);
-  const TimeSeries power =
-      vehicle::Powertrain(small.vehicle)
-          .power_trace(vehicle::generate(vehicle::CycleName::kUs06))
-          .repeated(2);
-  core::OtemMethodology m(small);
-  sim::RunOptions opt;
-  opt.record_trace = false;
-  const sim::RunResult r = sim::Simulator(small).run(m, power, opt);
+  const sim::RunResult r =
+      run_us06(GetParam(), paper_spec().with_ultracap_size(5000.0));
   EXPECT_LT(r.qloss_percent, at("parallel").qloss_percent);
   EXPECT_LE(r.thermal_violation_s, 5.0);
 }
+
+std::string controller_name(const ::testing::TestParamInfo<std::string>& p) {
+  return p.param == "otem" ? "shooting" : "ltv";
+}
+
+INSTANTIATE_TEST_SUITE_P(Controllers, OtemClaims,
+                         ::testing::Values("otem", "otem-ltv"),
+                         controller_name);
 
 }  // namespace
 }  // namespace otem

@@ -643,9 +643,9 @@ TEST(CacheKey, SpecOverridesLandInTheSortedTail) {
 
 TEST(ServeObs, QueueWaitIsRecordedUnderLoad) {
   // One pool thread + several concurrent admissions: all but the first
-  // run MUST sit in the pool queue, and that wait has to land in both
-  // the serve.queue.wait_us instruments and (because latency is
-  // measured from frame entry) the serve.request.latency_us ones.
+  // run MUST sit in the pool queue, and that wait has to land in the
+  // serve.queue.wait_us sketch and (because latency is measured from
+  // frame entry) in the serve.request.latency_us one.
   ServerOptions opts = test_options();
   opts.threads = 1;
   opts.queue_depth = 4;
@@ -666,12 +666,6 @@ TEST(ServeObs, QueueWaitIsRecordedUnderLoad) {
       EXPECT_NE(resp.find("\"ok\":true"), std::string::npos) << resp;
     });
   for (std::thread& t : clients) t.join();
-
-  const obs::MetricsSnapshot snap = server.registry().snapshot();
-  const obs::Histogram::Snapshot& wait_hist =
-      snap.histograms.at("serve.queue.wait_us");
-  EXPECT_EQ(wait_hist.count, kClients);
-  EXPECT_GT(wait_hist.max, 0.0);
 
   const obs::Sketch::Snapshot wait =
       server.registry().sketch("serve.queue.wait_us").snapshot();

@@ -11,11 +11,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/json.h"
+#include "core/methodology_registry.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -266,6 +269,124 @@ TEST(ServeSession, DrainDropsResidentSessionsAndRefusesNewWork) {
   EXPECT_EQ(snap.gauges.at("serve.sessions_active"), 0.0);
 }
 
+// --- session vs run byte-identity -------------------------------------------
+
+/// One scenario the session-vs-run property is checked on; `overrides`
+/// is the body of the request's "overrides" object.
+struct SessionRunCase {
+  const char* name;
+  const char* overrides;
+};
+
+std::ostream& operator<<(std::ostream& os, const SessionRunCase& c) {
+  return os << c.name;
+}
+
+// Every registered methodology on three initial conditions: the paper's
+// x0, a pack soaked at a hot ambient, and a half-empty bank. The slow
+// controllers (shooting otem, otem-ltv at its shipped full-SQP point)
+// run a short synthetic route; the reactive baselines and the RTI
+// serving point run whole standard cycles.
+const SessionRunCase kSessionRunCases[] = {
+    {"parallel_udds", R"("method":"parallel","cycle":"UDDS")"},
+    {"parallel_nycc_soaked",
+     R"("method":"parallel","cycle":"NYCC","soak":true,"ambient_k":308.15)"},
+    {"parallel_us06_soe60",
+     R"("method":"parallel","cycle":"US06","soe0":60)"},
+    {"active_cooling_udds", R"("method":"active_cooling","cycle":"UDDS")"},
+    {"active_cooling_nycc_soaked",
+     R"("method":"active_cooling","cycle":"NYCC","soak":true,)"
+     R"("ambient_k":308.15)"},
+    {"active_cooling_us06_soe60",
+     R"("method":"active_cooling","cycle":"US06","soe0":60)"},
+    {"dual_udds", R"("method":"dual","cycle":"UDDS")"},
+    {"dual_nycc_soaked",
+     R"("method":"dual","cycle":"NYCC","soak":true,"ambient_k":308.15)"},
+    {"dual_us06_soe60", R"("method":"dual","cycle":"US06","soe0":60)"},
+    {"otem_synthetic",
+     R"("method":"otem","synthetic":true,"synthetic_duration_s":60)"},
+    {"otem_synthetic_soaked",
+     R"("method":"otem","synthetic":true,"synthetic_duration_s":60,)"
+     R"("soak":true,"ambient_k":308.15)"},
+    {"otem_synthetic_soe60",
+     R"("method":"otem","synthetic":true,"synthetic_duration_s":60,)"
+     R"("soe0":60)"},
+    {"otem_ltv_synthetic",
+     R"("method":"otem-ltv","synthetic":true,"synthetic_duration_s":60)"},
+    {"otem_ltv_synthetic_soaked",
+     R"("method":"otem-ltv","synthetic":true,"synthetic_duration_s":60,)"
+     R"("soak":true,"ambient_k":308.15)"},
+    {"otem_ltv_synthetic_soe60",
+     R"("method":"otem-ltv","synthetic":true,"synthetic_duration_s":60,)"
+     R"("soe0":60)"},
+    {"otem_ltv_rti_udds",
+     R"("method":"otem-ltv","cycle":"UDDS","ltv.sqp_iterations":1,)"
+     R"("ltv.qp.eps":0.2)"},
+    {"otem_ltv_rti_nycc_soaked",
+     R"("method":"otem-ltv","cycle":"NYCC","ltv.sqp_iterations":1,)"
+     R"("ltv.qp.eps":0.2,"soak":true,"ambient_k":308.15)"},
+    {"otem_ltv_rti_us06_soe60",
+     R"("method":"otem-ltv","cycle":"US06","ltv.sqp_iterations":1,)"
+     R"("ltv.qp.eps":0.2,"soe0":60)"},
+};
+
+std::string report_hex_of(const Json& result) {
+  const Json* hex = result.find("report_hex");
+  EXPECT_NE(hex, nullptr);
+  return hex != nullptr ? hex->dump(0) : "";
+}
+
+class SessionMatchesRun : public ::testing::TestWithParam<SessionRunCase> {};
+
+TEST_P(SessionMatchesRun, SteppedRouteReportIsByteIdenticalToRun) {
+  // A streamed mission must be the same computation as the offline
+  // evaluation it is judged by: stepping a session through its whole
+  // route reports exactly the bits a one-shot `run` of the same
+  // scenario reports.
+  const std::string overrides = GetParam().overrides;
+  Server server(session_test_options());
+  const Json run = ok_result(server.handle_line(
+      R"({"schema":"otem.serve.v1","method":"run","hex_doubles":true,)"
+      R"("overrides":{)" +
+      overrides + "}}"));
+  const Json open = ok_result(server.handle_line(
+      R"({"schema":"otem.serve.v1","method":"session.open","overrides":{)" +
+      overrides + "}}"));
+  const std::string sid = session_id_of(open);
+  const double route = open.find("route_steps")->as_number();
+  ASSERT_EQ(route, run.find("steps")->as_number());
+  for (double k = 0; k < route; ++k) {
+    const std::string reply = server.handle_line(step_request(sid));
+    ASSERT_NE(reply.find("\"ok\":true"), std::string::npos) << reply;
+  }
+  const Json closed = ok_result(server.handle_line(
+      R"({"schema":"otem.serve.v1","method":"session.close",)"
+      R"("hex_doubles":true,"session":")" +
+      sid + "\"}"));
+  EXPECT_EQ(closed.find("steps")->as_number(), route);
+  EXPECT_EQ(report_hex_of(closed), report_hex_of(run));
+}
+
+std::string session_run_case_name(
+    const ::testing::TestParamInfo<SessionRunCase>& param) {
+  return param.param.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryMethodology, SessionMatchesRun,
+                         ::testing::ValuesIn(kSessionRunCases),
+                         session_run_case_name);
+
+TEST(SessionMatchesRunCoverage, EveryRegisteredMethodologyHasACase) {
+  for (const std::string& name :
+       core::MethodologyRegistry::instance().names()) {
+    const std::string needle = "\"method\":\"" + name + "\"";
+    bool covered = false;
+    for (const SessionRunCase& c : kSessionRunCases)
+      covered = covered || std::string(c.overrides).find(needle) == 0;
+    EXPECT_TRUE(covered) << "no session-vs-run case for '" << name << "'";
+  }
+}
+
 // --- SessionManager unit behavior -------------------------------------------
 
 TEST(ServeSessionManager, IdsStayUniqueAcrossFailedInserts) {
@@ -313,6 +434,52 @@ TEST(ServeTcp, PingOverARealLocalhostSocket) {
   EXPECT_EQ(reply,
             "{\"schema\":\"otem.serve.v1\",\"id\":\"t\",\"ok\":true,"
             "\"cached\":false,\"result\":{\"pong\":true}}");
+}
+
+TEST(ServeTcp, LateStopsAndAClosingConnectionRaceShutdownSafely) {
+  // Shutdown races: request_stop() keeps arriving from another thread
+  // while serve_tcp() closes its wake pipe, the last client connection
+  // hangs up while the listener waits for connections to finish, and
+  // the server is destroyed the moment serve_tcp() returns. Under
+  // ThreadSanitizer this fails if a stop writes to the wake descriptor
+  // after its close, or a connection thread notifies the condition
+  // variable ~Server destroys.
+  for (int round = 0; round < 20; ++round) {
+    auto server = std::make_unique<Server>(session_test_options());
+    std::thread serving([&] { (void)server->serve_tcp("127.0.0.1:0"); });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server->bound_port() == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (server->bound_port() == 0) {
+      server->request_stop();
+      serving.join();
+      FAIL() << "server never bound its TCP port";
+    }
+
+    // Nothing may throw past here until `serving` is joined.
+    std::unique_ptr<Connection> conn;
+    try {
+      conn = std::make_unique<Connection>(
+          "127.0.0.1:" + std::to_string(server->bound_port()));
+      ok_result(
+          conn->roundtrip(R"({"schema":"otem.serve.v1","method":"ping"})"));
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "ping over TCP failed: " << e.what();
+    }
+
+    std::atomic<bool> returned{false};
+    std::thread stopper([&] {
+      while (!returned.load()) server->request_stop();
+    });
+    std::thread closer([&] { conn.reset(); });
+    serving.join();
+    returned.store(true);
+    stopper.join();
+    closer.join();
+    server.reset();
+  }
 }
 
 TEST(ServeTcp, SessionLifecycleOverOnePersistentConnection) {

@@ -225,6 +225,23 @@ TEST(Simulator, CancelMidMissionThrowsSimCancelledAndFinalizesSinks) {
   // to completion — and every sink was finalized.
   EXPECT_EQ(probe.records(), 50u);
   EXPECT_TRUE(probe.end_called());
+  // The closed totals describe the 50 steps that ran, not the route.
+  EXPECT_EQ(metrics.result().duration_s, 50 * power.dt());
+}
+
+TEST(Simulator, CancelBeforeTheFirstStepReportsZeroPowerNotNaN) {
+  const core::SystemSpec spec = default_spec();
+  const Simulator sim(spec);
+  core::ParallelMethodology m(spec);
+  exec::StopSource source;
+  source.request_stop();
+  RunOptions opt;
+  opt.stop = source.token();
+  MetricsAccumulator metrics;
+  EXPECT_THROW(sim.run_with_sinks(m, udds_power(spec), opt, {&metrics}),
+               SimCancelled);
+  EXPECT_EQ(metrics.result().duration_s, 0.0);
+  EXPECT_EQ(metrics.result().average_power_w, 0.0);
 }
 
 TEST(Simulator, CancelClosesStreamingCsvSinkCleanly) {
