@@ -32,7 +32,6 @@ import sys
 import checklib
 
 NAME_RE = re.compile(r"^(BM_FleetEvaluate(?:Metrics|Traced)?)/(\d+)")
-NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 VARIANTS = [
     ("BM_FleetEvaluateMetrics", "metrics"),
@@ -48,7 +47,7 @@ def best_times(benchmarks):
         if not m:
             continue
         name, threads = m.group(1), int(m.group(2))
-        t = float(b["real_time"]) * NS_PER_UNIT[b.get("time_unit", "ns")]
+        t = checklib.real_time_ns(b)
         slot = best.setdefault(name, {})
         slot[threads] = min(slot.get(threads, t), t)
     return best

@@ -32,10 +32,7 @@ NAME_RE = re.compile(r"^BM_LtvControlStep/(\d+)/([01])\b")
 def collect(benchmarks):
     """horizon -> {0|1 -> {"mean": ..., "median": ...}}."""
     out = {}
-    for b in checklib.iteration_rows(benchmarks):
-        m = NAME_RE.match(b["name"])
-        if not m:
-            continue
+    for m, b in checklib.bench_rows(benchmarks, NAME_RE):
         horizon, warm = int(m.group(1)), int(m.group(2))
         if "admm_iters_mean" not in b or "admm_iters_median" not in b:
             continue

@@ -42,6 +42,49 @@ def iteration_rows(benchmarks):
             yield b
 
 
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+def real_time_ns(row):
+    """A row's real_time in nanoseconds, whatever its time_unit."""
+    return float(row["real_time"]) * NS_PER_UNIT[row.get("time_unit", "ns")]
+
+
+def bench_rows(benchmarks, name_re):
+    """(match, row) per benchmark run whose name matches name_re.
+
+    A file recorded with --benchmark_repetitions holds every repetition
+    plus mean / median / stddev / cv aggregates. Each run is then
+    represented by its median aggregate (renamed to the run name; user
+    counters are medians too), and the run's coefficient of variation
+    of real time is printed, so a gate reads the stable statistic and
+    its reader sees the spread behind it. A single-repetition file
+    yields its iteration rows unchanged.
+    """
+    medians = [b for b in benchmarks
+               if b.get("run_type") == "aggregate"
+               and b.get("aggregate_name") == "median"]
+    if not medians:
+        for b in iteration_rows(benchmarks):
+            m = name_re.match(b["name"])
+            if m:
+                yield m, b
+        return
+    cv = {b["run_name"]: float(b["real_time"]) for b in benchmarks
+          if b.get("run_type") == "aggregate"
+          and b.get("aggregate_name") == "cv"}
+    for b in medians:
+        name = b["run_name"]
+        m = name_re.match(name)
+        if not m:
+            continue
+        spread = (f"CV {100.0 * cv[name]:.1f} %" if name in cv
+                  else "CV not recorded")
+        print(f"{name}: median of {b.get('repetitions', '?')} "
+              f"repetitions, {spread}")
+        yield m, dict(b, name=name)
+
+
 def load_release_bench(path):
     """Load a google-benchmark JSON file, refusing non-Release builds.
 

@@ -16,6 +16,13 @@
 # committed baseline. Pass --allow-debug to measure a debug build
 # anyway (throwaway local profiling only — the gates will reject it).
 #
+# Protocol: every benchmark runs 5 repetitions, so each file carries
+# per-repetition rows plus mean / median / stddev / cv aggregates; the
+# check_*.py gates read the median and print the CV (checklib.py). The
+# script refuses to start while the 1-minute load average exceeds
+# nproc/2 — numbers measured on a busy machine are not a baseline, and
+# there is no flag to override that.
+#
 # BENCH_fleet.json (perf_fleet):
 #   - BM_FleetEvaluate/N        fleet wall-clock at N threads (N=1 serial)
 #   - BM_FleetEvaluateMetrics/N the same fleet with a metrics registry
@@ -92,11 +99,21 @@ if [[ "$BUILD_TYPE" != "Release" && "$ALLOW_DEBUG" != 1 ]]; then
   exit 1
 fi
 
-# min_time keeps the fleet benches to a few iterations each; raise it
-# for publication-quality numbers.
+# A quiet machine, checked once before anything is stamped (the fleet
+# benches' own threads raise the load average for the runs after them).
+LOAD1=$(cut -d' ' -f1 /proc/loadavg)
+NPROC=$(nproc)
+if awk -v l="$LOAD1" -v n="$NPROC" 'BEGIN { exit !(l > n / 2) }'; then
+  echo "error: 1-minute load average $LOAD1 exceeds nproc/2 = $NPROC/2;" >&2
+  echo "refusing to stamp benchmark baselines on a busy machine." >&2
+  exit 1
+fi
+
+# min_time keeps the fleet benches to a few iterations per repetition.
 "$FLEET_BIN" \
   --benchmark_out=BENCH_fleet.json \
   --benchmark_out_format=json \
+  --benchmark_repetitions=5 \
   --benchmark_min_time=0.5
 
 echo "wrote BENCH_fleet.json"
@@ -104,6 +121,7 @@ echo "wrote BENCH_fleet.json"
 "$SOLVER_BIN" \
   --benchmark_out=BENCH_solver.json \
   --benchmark_out_format=json \
+  --benchmark_repetitions=5 \
   --benchmark_min_time=0.5
 
 echo "wrote BENCH_solver.json"

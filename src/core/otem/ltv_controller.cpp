@@ -235,8 +235,10 @@ MpcProblem::Controls LtvOtemController::solve(
   const size_t n = problem_.options().horizon;
   const size_t nu = 2 * n;
 
-  // Incumbent plan: shifted previous solution or "all off".
-  optim::Vector z(nu);
+  // Incumbent plan: shifted previous solution or "all off" (every
+  // entry is written below, so the reused buffer needs no clearing).
+  optim::Vector& z = z_;
+  z.resize(nu);
   info_ = SolveInfo{};
   info_.fallback = !(have_warm_ && warm_z_.size() == nu);
   if (have_warm_ && warm_z_.size() == nu) {
@@ -278,7 +280,7 @@ MpcProblem::Controls LtvOtemController::solve(
     const obs::TraceSpan round_span("ltv.sqp_round");
     info_.cost = problem_.evaluate(z, c_);
     problem_.gradient(z, w0_, g_z_);
-    const auto jac = problem_.linearize();
+    const auto& jac = problem_.linearize();
     const auto& xs = problem_.predicted_states();
 
     // Physical incumbent controls and cost gradient w.r.t. them.
@@ -429,6 +431,7 @@ MpcProblem::Controls LtvOtemController::solve(
     info_.kkt_refactorizations += sol.kkt_refactorizations;
     info_.stage_block_ops += sol.stage_block_ops;
     if (sol.polished) ++info_.qp_polish_hits;
+    if (sol.polish_unsettled) ++info_.qp_polish_unsettled;
     info_.qp_converged = sol.converged;
     info_.primal_residual = sol.primal_residual;
     info_.dual_residual = sol.dual_residual;
@@ -475,6 +478,7 @@ SolveDiagnostics LtvOtemController::diagnostics() const {
   d.kkt_refactorizations = info_.kkt_refactorizations;
   d.stage_block_ops = info_.stage_block_ops;
   d.qp_polish_hits = info_.qp_polish_hits;
+  d.qp_polish_unsettled = info_.qp_polish_unsettled;
   d.cost = info_.cost;
   d.primal_residual = info_.primal_residual;
   d.dual_residual = info_.dual_residual;

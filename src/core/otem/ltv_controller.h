@@ -60,11 +60,14 @@ struct LtvOptions {
     // (|du| <= 1). ADMM itself runs at a deliberately loose tolerance
     // and the polish pass supplies the accuracy: the converged-at-1e-2
     // iterate only has to identify the active set well enough for the
-    // polish refinement to settle, after which the solution is
-    // active-set-exact — warm and cold solves then agree to machine
+    // polish refinement to settle. When it settles the solution is
+    // active-set-exact, and warm and cold solves agree to machine
     // precision, where the raw loose-eps iterates would drift by tens
-    // of kW between re-linearisations. (Without polish this path needs
-    // eps ~3e-5 for comparable solution quality, at ~4x the
+    // of kW between re-linearisations. About 84 % of rounds settle at
+    // these defaults and 81 % at the RTI point (docs/PERFORMANCE.md
+    // §5); the rest agree only to ADMM tolerance
+    // (solver.qp_polish_unsettled counts them). (Without polish this
+    // path needs eps ~3e-5 for comparable solution quality, at ~4x the
     // iterations.)
     qp.eps_abs = 1e-2;
     qp.eps_rel = 1e-2;
@@ -100,6 +103,7 @@ class LtvOtemController final : public ControllerIface {
     /// (banded KKT path only; 0 on the dense path).
     size_t stage_block_ops = 0;
     size_t qp_polish_hits = 0;  ///< rounds whose polish was accepted
+    size_t qp_polish_unsettled = 0;  ///< rounds whose polish never settled
     double primal_residual = 0.0;  ///< last round's QP
     double dual_residual = 0.0;
     bool fallback = false;      ///< cold start (no usable warm start)
@@ -134,8 +138,8 @@ class LtvOtemController final : public ControllerIface {
 
   // Persistent solver + per-solve workspace: the controller runs every
   // simulated second, so the QP matrices, sensitivity stack and scratch
-  // vectors are sized once and reused across steps (no steady-state
-  // heap traffic).
+  // vectors are sized once and reused across steps. The one steady-state
+  // heap traffic left is the QpResult x / y copies each QP round returns.
   optim::QpSolver qp_solver_;
   optim::QpProblem qp_;
   // Banded-path twins of the above: stage-wise transcription of the
@@ -145,6 +149,7 @@ class LtvOtemController final : public ControllerIface {
   optim::LtvQpProblem ltv_qp_;
   std::vector<optim::Matrix> sens_;  ///< control-to-state sensitivities
   optim::Matrix a_step_;             ///< 4x4 dynamics Jacobian of one step
+  optim::Vector z_;  ///< the incumbent plan being refined this step
   optim::Vector c_, g_z_, u_, g_u_, w0_;
   optim::Vector state_scale_;        ///< w-variable scales, 4 x (H+1)
   optim::Vector box_lo_, box_hi_;    ///< normalised control boxes (nu)

@@ -276,14 +276,17 @@ double MpcProblem::evaluate(const optim::Vector& z, optim::Vector& c_out) {
   return cost_.total();
 }
 
-std::vector<MpcProblem::StepJacobian> MpcProblem::linearize() const {
+const std::vector<MpcProblem::StepJacobian>& MpcProblem::linearize() {
   const double eps_passive = cooling_.params().passive_effectiveness;
   const double gamma = cooling_.pulldown_per_watt();
-  std::vector<StepJacobian> out(options_.horizon);
+  jac_.resize(options_.horizon);
 
   for (size_t k = 0; k < options_.horizon; ++k) {
     const StepCache& s = cache_[k];
-    StepJacobian& j = out[k];
+    StepJacobian& j = jac_[k];
+    // Entries this loop never writes (a[0][3], a[3][0], b[3][1],
+    // dpbs_dx[0], ...) are structural zeros: reset the reused slot.
+    j = StepJacobian{};
 
     // Battery current partials w.r.t. state and PHYSICAL controls.
     const double dpbs_dsoc =
@@ -334,7 +337,7 @@ std::vector<MpcProblem::StepJacobian> MpcProblem::linearize() const {
     j.dpbs_du[1] = s.dpbs_dpbb;
     j.dpbs_dx[2] = dpbs_dsoc;
   }
-  return out;
+  return jac_;
 }
 
 void MpcProblem::gradient(const optim::Vector& z, const optim::Vector& w,

@@ -143,8 +143,10 @@ class MpcProblem final : public optim::ConstrainedObjective {
     double dpbs_dx[4] = {};
   };
 
-  /// Per-step Jacobians at the most recent evaluate() point.
-  std::vector<StepJacobian> linearize() const;
+  /// Per-step Jacobians at the most recent evaluate() point, written
+  /// into a member buffer that every call reuses (no allocation once
+  /// sized); the reference stays valid until the next call.
+  const std::vector<StepJacobian>& linearize();
 
   /// Cost of the most recent evaluate() split by term (w1/w2/w3 parts).
   struct CostBreakdown {
@@ -198,6 +200,7 @@ class MpcProblem final : public optim::ConstrainedObjective {
 
   std::vector<StepCache> cache_;
   std::vector<PlantState> states_;
+  std::vector<StepJacobian> jac_;  ///< linearize() output buffer
   CostBreakdown cost_;
 };
 

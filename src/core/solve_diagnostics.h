@@ -29,6 +29,10 @@ struct SolveDiagnostics {
   /// QP rounds whose active-set polish was accepted (banded KKT path
   /// with QpOptions::polish; see QpResult::polished).
   size_t qp_polish_hits = 0;
+  /// QP rounds whose polish working set did not settle within
+  /// kLtvPolishRounds (see QpResult::polish_unsettled); such a round
+  /// may still count as a polish hit.
+  size_t qp_polish_unsettled = 0;
 
   double cost = 0.0;                  ///< objective at the accepted point
   double constraint_violation = 0.0;  ///< max_i c_i (shooting path)

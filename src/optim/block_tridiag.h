@@ -42,15 +42,35 @@ class BlockTridiagCholesky {
   /// the factor (Lam_k lower triangles in diag, Lt_{k+1} in sub). The
   /// caller keeps ownership of the storage; this class records views.
   /// Throws otem::SimError when a stage block is not SPD.
-  void factor(std::vector<Block>& diag, std::vector<Block>& sub) {
+  ///
+  /// `first` = 0 is the full factorisation. With first = s > 0 the
+  /// storage must hold the previous factorisation of a matrix that
+  /// agrees with this one on every block < s and on S_s: blocks < s and
+  /// sub[s-1] (which already holds Lt_s) are kept, and only stages >= s
+  /// are recomputed from freshly assembled blocks. Each recomputed
+  /// element sees the same operations as in a full factorisation, so
+  /// the result is bitwise that of factor(diag, sub, 0).
+  void factor(std::vector<Block>& diag, std::vector<Block>& sub,
+              size_t first = 0) {
     OTEM_REQUIRE(!diag.empty(), "BlockTridiagCholesky: no stages");
     OTEM_REQUIRE(sub.size() + 1 == diag.size(),
                  "BlockTridiagCholesky: need one sub-block per interior stage");
+    OTEM_REQUIRE(first == 0 || (factored_ && diag_ == &diag &&
+                                sub_ == &sub && first < diag.size()),
+                 "BlockTridiagCholesky: a partial refactor needs the "
+                 "previous factor of the same storage");
     diag_ = &diag;
     sub_ = &sub;
-    cholesky_factor(diag[0]);
-    block_ops_ += 1;
-    for (size_t k = 1; k < diag.size(); ++k) {
+    factored_ = false;  // until every stage is done (a throw leaves it so)
+    if (first == 0) {
+      cholesky_factor(diag[0]);
+      block_ops_ += 1;
+    } else {
+      syrk_sub(diag[first], sub[first - 1]);
+      cholesky_factor(diag[first]);
+      block_ops_ += 2;
+    }
+    for (size_t k = first + 1; k < diag.size(); ++k) {
       trsm_right_lower_transpose(diag[k - 1], sub[k - 1]);
       syrk_sub(diag[k], sub[k - 1]);
       cholesky_factor(diag[k]);

@@ -103,6 +103,18 @@ struct LtvQpStage {
   double p[2] = {}, q[2] = {};
 };
 
+/// Lowest KKT stage block that row `row` (global index, stage-major)
+/// contributes to. Rows with coefficients on the previous stage's states
+/// — the dynamics equalities and the battery row — reach block k-1 and
+/// sub-block k-1; boxes and state bounds touch only their own block k.
+/// A working-set change in a set of rows therefore leaves every block
+/// below the minimum of this over the set unchanged.
+inline size_t ltv_kkt_first_block(size_t row) {
+  const size_t k = row / kLtvStageRows, r = row % kLtvStageRows;
+  const bool couples_back = r == 10 || (r >= 2 && r < 6);
+  return k > 0 && couples_back ? k - 1 : k;
+}
+
 struct LtvQpProblem {
   std::vector<LtvQpStage> stages;
 
@@ -138,9 +150,10 @@ class LtvQpSolver {
   void assemble_kkt(const LtvQpProblem& problem, double sigma, double rho);
   /// Polish variant: K = P + sigma I + A^T diag(w) A for an arbitrary
   /// per-row weight vector (into pol_diag_/pol_sub_, leaving the cached
-  /// ADMM factorisation untouched).
+  /// ADMM factorisation untouched). Only blocks >= `first` are written;
+  /// lower ones keep what the previous round's factor left there.
   void assemble_kkt_weighted(const LtvQpProblem& problem, double sigma,
-                             const Vector& w);
+                             const Vector& w, size_t first);
   void ax_into(const LtvQpProblem& problem, const Vector& x, Vector& out);
   void aty_accumulate(const LtvQpProblem& problem, const Vector& t,
                       Vector& y_out);

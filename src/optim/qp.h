@@ -118,6 +118,10 @@ struct QpResult {
   /// in kkt_refactorizations — that field measures ADMM KKT reuse — but
   /// its block work is included in stage_block_ops.
   bool polished = false;
+  /// QpOptions::polish ran but its working set did not settle within
+  /// kLtvPolishRounds. The polished iterates may still be accepted, but
+  /// they are then not active-set-exact.
+  bool polish_unsettled = false;
 };
 
 /// Reusable ADMM solver. Keep one alive per controller: the workspace

@@ -146,20 +146,29 @@ inline void backward_subst(const SmallMat<N, N>& l, double* b) {
   }
 }
 
-/// Solve X L^T = B in place on `b` (row-wise forward substitution):
+/// Solve X L^T = B in place on `b` (a forward substitution per row):
 /// afterwards b holds X. This is the off-diagonal step of the block
-/// Cholesky, L~ = L_k Lambda^{-T}.
+/// Cholesky, L~ = L_k Lambda^{-T}. The R row substitutions run
+/// interleaved, column by column, so their independent divide chains
+/// overlap; every element still sees forward_subst's exact operation
+/// order, so the result is bitwise that of R forward_subst calls.
 template <size_t R, size_t N>
 inline void trsm_right_lower_transpose(const SmallMat<N, N>& l,
                                        SmallMat<R, N>& b) {
-  for (size_t r = 0; r < R; ++r) forward_subst(l, b.m[r]);
+  for (size_t i = 0; i < N; ++i)
+    for (size_t r = 0; r < R; ++r) {
+      double s = b.m[r][i];
+      for (size_t k = 0; k < i; ++k) s -= l.m[i][k] * b.m[r][k];
+      b.m[r][i] = s / l.m[i][i];
+    }
 }
 
-/// out -= x x^T (symmetric rank-K downdate, full block written).
+/// out -= x x^T (symmetric rank-K downdate). Only the lower triangle is
+/// written — all that cholesky_factor and the substitutions read.
 template <size_t R, size_t K>
 inline void syrk_sub(SmallMat<R, R>& out, const SmallMat<R, K>& x) {
   for (size_t i = 0; i < R; ++i)
-    for (size_t j = 0; j < R; ++j) {
+    for (size_t j = 0; j <= i; ++j) {
       double s = 0.0;
       for (size_t k = 0; k < K; ++k) s += x.m[i][k] * x.m[j][k];
       out.m[i][j] -= s;

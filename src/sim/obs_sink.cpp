@@ -17,6 +17,8 @@ DiagnosticsSink::Instruments::Instruments(obs::MetricsRegistry& registry,
           registry.counter(prefix + "solver.kkt_refactorizations")),
       stage_block_ops(registry.counter(prefix + "solver.stage_block_ops")),
       qp_polish_hits(registry.counter(prefix + "solver.qp_polish_hits")),
+      qp_polish_unsettled(
+          registry.counter(prefix + "solver.qp_polish_unsettled")),
       qloss(registry.gauge(prefix + "sim.qloss_percent")),
       duration(registry.gauge(prefix + "sim.duration_s")),
       step_latency_us(registry.histogram(prefix + "sim.step_latency_us",
@@ -41,9 +43,6 @@ DiagnosticsSink::Instruments::Instruments(obs::MetricsRegistry& registry,
 void DiagnosticsSink::begin(const RunContext& ctx) {
   dt_ = ctx.dt;
   local_ = Local{};
-  // Every step is simulated whether or not this sink sees its sample
-  // (eventful_samples_only), so the step count is a run constant.
-  local_.steps = ctx.steps;
 }
 
 void DiagnosticsSink::record(const StepSample& sample) {
@@ -66,6 +65,7 @@ void DiagnosticsSink::record(const StepSample& sample) {
   local_.kkt_refactorizations += s.kkt_refactorizations;
   local_.stage_block_ops += s.stage_block_ops;
   local_.qp_polish_hits += s.qp_polish_hits;
+  local_.qp_polish_unsettled += s.qp_polish_unsettled;
   instruments_.solve_latency_us.record(s.solve_time_us);
   // The two transcriptions report different inner-loop counts; record
   // whichever ran so the histograms stay per-solver-family.
@@ -103,6 +103,8 @@ void DiagnosticsSink::end(const core::PlantState&) {
     instruments_.stage_block_ops.add(local_.stage_block_ops);
   if (local_.qp_polish_hits)
     instruments_.qp_polish_hits.add(local_.qp_polish_hits);
+  if (local_.qp_polish_unsettled)
+    instruments_.qp_polish_unsettled.add(local_.qp_polish_unsettled);
   instruments_.qloss.set(local_.qloss_percent);
   instruments_.duration.set(static_cast<double>(local_.steps) * dt_);
 }
@@ -161,6 +163,8 @@ Json JsonlEventSink::step_event(const StepSample& sample, double dt) {
     // Banded KKT path only; 0 (and absent) on the dense/shooting paths.
     if (s.stage_block_ops) solve.set("stage_block_ops", s.stage_block_ops);
     if (s.qp_polish_hits) solve.set("qp_polish_hits", s.qp_polish_hits);
+    if (s.qp_polish_unsettled)
+      solve.set("qp_polish_unsettled", s.qp_polish_unsettled);
     solve.set("cost", s.cost);
     solve.set("constraint_violation", s.constraint_violation);
     solve.set("primal_residual", s.primal_residual);

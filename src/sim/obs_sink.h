@@ -30,7 +30,7 @@ namespace otem::sim {
 ///               solver.fallbacks, solver.nonconverged,
 ///               solver.qp_rho_updates, solver.qp_warm_hits,
 ///               solver.kkt_refactorizations, solver.stage_block_ops,
-///               solver.qp_polish_hits
+///               solver.qp_polish_hits, solver.qp_polish_unsettled
 ///   gauges      sim.qloss_percent, sim.duration_s
 ///   histograms  sim.step_latency_us, solver.latency_us,
 ///               solver.iterations, solver.qp_iterations,
@@ -50,7 +50,7 @@ class DiagnosticsSink final : public StepSink {
   static constexpr size_t kTimingStride = 64;
 
   /// The resolved instrument references for one name prefix. Resolving
-  /// takes 20 mutex-guarded registry lookups — a fleet shares ONE
+  /// takes 21 mutex-guarded registry lookups — a fleet shares ONE
   /// bundle across all its missions instead of resolving per mission.
   struct Instruments {
     explicit Instruments(obs::MetricsRegistry& registry,
@@ -65,6 +65,7 @@ class DiagnosticsSink final : public StepSink {
     obs::Counter& kkt_refactorizations;
     obs::Counter& stage_block_ops;
     obs::Counter& qp_polish_hits;
+    obs::Counter& qp_polish_unsettled;
     obs::Gauge& qloss;
     obs::Gauge& duration;
     obs::Histogram& step_latency_us;
@@ -89,14 +90,15 @@ class DiagnosticsSink final : public StepSink {
 
   size_t timing_stride() const override { return kTimingStride; }
   /// Only eventful samples carry information for this sink: the step
-  /// count comes from RunContext, the final qloss rides on the last
-  /// sample (always delivered), and everything else is conditional on
-  /// timing / infeasibility / solver presence anyway. On a reactive
-  /// baseline the simulator then skips the dispatch entirely for ~63 of
-  /// every 64 steps.
+  /// count comes from the Stepper (steps_recorded), the final qloss
+  /// rides on the last sample (always delivered), and everything else
+  /// is conditional on timing / infeasibility / solver presence anyway.
+  /// On a reactive baseline the simulator then skips the dispatch
+  /// entirely for ~63 of every 64 steps.
   bool eventful_samples_only() const override { return true; }
   void begin(const RunContext& ctx) override;
   void record(const StepSample& sample) override;
+  void steps_recorded(size_t steps) override { local_.steps = steps; }
   /// Counters and gauges are accumulated in plain locals during the run
   /// and flushed to the (shared, atomic) instruments here — one atomic
   /// op per counter per RUN instead of per step. Registry snapshots are
@@ -118,6 +120,7 @@ class DiagnosticsSink final : public StepSink {
     std::uint64_t kkt_refactorizations = 0;
     std::uint64_t stage_block_ops = 0;
     std::uint64_t qp_polish_hits = 0;
+    std::uint64_t qp_polish_unsettled = 0;
     double qloss_percent = 0.0;
   };
   Local local_;

@@ -21,7 +21,6 @@ void MetricsAccumulator::begin(const RunContext& ctx) {
 
 void MetricsAccumulator::record(const StepSample& sample) {
   const core::StepRecord& rec = sample.rec;
-  ++steps_;
   result_.qloss_percent += rec.qloss_percent;
   result_.energy_battery_j += rec.e_bat_j;
   result_.energy_cap_j += rec.e_cap_j;

@@ -80,6 +80,11 @@ class StepSink {
 
   virtual void begin(const RunContext& ctx) { (void)ctx; }
   virtual void record(const StepSample& sample) = 0;
+  /// How many steps the run recorded, told once right before end():
+  /// RunContext::steps for a finished mission, fewer for a cancelled
+  /// one. Sinks take their step count from here (an eventful-only sink
+  /// could not count the steps itself).
+  virtual void steps_recorded(size_t steps) { (void)steps; }
   virtual void end(const core::PlantState& final_state) {
     (void)final_state;
   }
@@ -89,11 +94,13 @@ class StepSink {
 /// accumulation order step by step, so results stay bit-identical.
 /// max_t_battery_k is seeded from the initial state, so a mission that
 /// only ever cools reports its true (initial) maximum. duration_s counts
-/// the steps recorded, so a cancelled run or a session closes exactly.
+/// the steps the Stepper recorded, so a cancelled run or a session
+/// closes exactly.
 class MetricsAccumulator final : public StepSink {
  public:
   void begin(const RunContext& ctx) override;
   void record(const StepSample& sample) override;
+  void steps_recorded(size_t steps) override { steps_ = steps; }
   void end(const core::PlantState& final_state) override;
 
   /// The finished result (valid after end()); trace fields are empty.
@@ -104,7 +111,7 @@ class MetricsAccumulator final : public StepSink {
   RunResult result_;
   double dt_ = 1.0;
   double t_max_k_ = 0.0;
-  size_t steps_ = 0;  ///< samples recorded since begin()
+  size_t steps_ = 0;  ///< the Stepper's count (steps_recorded)
 };
 
 /// Records the full in-RAM RunTrace (the pre-refactor record_trace

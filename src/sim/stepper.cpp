@@ -32,7 +32,10 @@ void Stepper::begin(const RunContext& ctx,
 }
 
 void Stepper::end(const core::PlantState& final_state) {
-  for (StepSink* sink : sinks_) sink->end(final_state);
+  for (StepSink* sink : sinks_) {
+    sink->steps_recorded(k_);
+    sink->end(final_state);
+  }
 }
 
 }  // namespace otem::sim

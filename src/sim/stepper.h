@@ -59,7 +59,8 @@ class Stepper {
   /// Steps recorded since begin() — also the next step's index.
   size_t steps() const { return k_; }
 
-  /// Finalize every sink, in attach order.
+  /// Finalize every sink, in attach order: steps_recorded(steps()),
+  /// then end().
   void end(const core::PlantState& final_state);
 
  private:

@@ -1,12 +1,16 @@
 // Tests for the banded KKT path: fixed-size SmallMat kernels against
-// the runtime-sized Matrix oracles, the block-tridiagonal Cholesky
-// against the dense factorisation, the structured LtvQpSolver against
+// the runtime-sized Matrix oracles (and, bitwise, against the plain
+// loops whose operation order they promise), the block-tridiagonal
+// Cholesky against the dense factorisation and its partial refactor
+// against a full one, the structured LtvQpSolver against
 // the dense QpSolver on randomised stage problems (via
 // ltv_qp_to_dense), and the controller-level dense-vs-banded agreement
 // on receding-horizon sequences.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.h"
@@ -35,6 +39,19 @@ Matrix to_matrix(const SmallMat<R, C>& s) {
   for (size_t r = 0; r < R; ++r)
     for (size_t c = 0; c < C; ++c) m(r, c) = s.m[r][c];
   return m;
+}
+
+// Bitwise equality: the banded kernels and the partial refactor promise
+// the exact bits of their reference, not the same value to rounding.
+template <size_t R, size_t C>
+bool same_bits(const SmallMat<R, C>& a, const SmallMat<R, C>& b) {
+  return std::memcmp(a.m, b.m, sizeof(a.m)) == 0;
+}
+
+bool same_bits(const Vector& a, const Vector& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -93,6 +110,59 @@ TEST(SmallMatKernels, CholeskySolveMatchesDense) {
 
   const Vector oracle = Cholesky(dense).solve(b);
   for (size_t i = 0; i < 6; ++i) EXPECT_NEAR(x[i], oracle[i], 1e-10);
+}
+
+template <size_t R, size_t N>
+void expect_trsm_matches_reference(Rng& rng) {
+  for (int trial = 0; trial < 20; ++trial) {
+    auto l = random_small<N, N>(rng);
+    for (size_t i = 0; i < N; ++i) l.m[i][i] = rng.uniform(0.5, 2.0);
+    const auto b = random_small<R, N>(rng, -3.0, 3.0);
+    // Reference: one plain forward substitution per row, in turn.
+    SmallMat<R, N> want = b;
+    for (size_t r = 0; r < R; ++r)
+      for (size_t i = 0; i < N; ++i) {
+        double s = want.m[r][i];
+        for (size_t k = 0; k < i; ++k) s -= l.m[i][k] * want.m[r][k];
+        want.m[r][i] = s / l.m[i][i];
+      }
+    SmallMat<R, N> got = b;
+    trsm_right_lower_transpose(l, got);
+    EXPECT_TRUE(same_bits(got, want)) << R << "x" << N << " trial " << trial;
+  }
+}
+
+TEST(SmallMatKernels, TrsmMatchesReferenceLoopBitwise) {
+  Rng rng(4);
+  expect_trsm_matches_reference<6, 6>(rng);
+  expect_trsm_matches_reference<4, 6>(rng);
+  expect_trsm_matches_reference<2, 3>(rng);
+}
+
+template <size_t R, size_t K>
+void expect_syrk_matches_reference(Rng& rng) {
+  for (int trial = 0; trial < 20; ++trial) {
+    const auto x = random_small<R, K>(rng);
+    const auto d = random_small<R, R>(rng, -3.0, 3.0);
+    // Reference: the lower triangle downdated by plain dot products;
+    // the strict upper triangle is left as it was.
+    SmallMat<R, R> want = d;
+    for (size_t i = 0; i < R; ++i)
+      for (size_t j = 0; j <= i; ++j) {
+        double s = 0.0;
+        for (size_t k = 0; k < K; ++k) s += x.m[i][k] * x.m[j][k];
+        want.m[i][j] -= s;
+      }
+    SmallMat<R, R> got = d;
+    syrk_sub(got, x);
+    EXPECT_TRUE(same_bits(got, want)) << R << "x" << K << " trial " << trial;
+  }
+}
+
+TEST(SmallMatKernels, SyrkSubMatchesReferenceLoopBitwise) {
+  Rng rng(5);
+  expect_syrk_matches_reference<6, 6>(rng);
+  expect_syrk_matches_reference<4, 2>(rng);
 }
 
 TEST(SmallMatKernels, CholeskyThrowsOnIndefiniteBlock) {
@@ -177,6 +247,129 @@ TEST_P(BlockTridiagSeed, SolveMatchesDenseCholesky) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BlockTridiagSeed, ::testing::Range(0, 6));
+
+using Block6 = SmallMat<6, 6>;
+
+struct TridiagBlocks {
+  std::vector<Block6> diag, sub;
+};
+
+/// Blocks of K = L L^T for a block lower-bidiagonal L (diagonal blocks
+/// `ld`, sub-diagonal blocks `ls`): D_k = Ld_k Ld_k^T + Ls_{k-1}
+/// Ls_{k-1}^T and S_{k+1} = Ls_k Ld_k^T.
+TridiagBlocks tridiag_from_factor(const std::vector<Block6>& ld,
+                                  const std::vector<Block6>& ls) {
+  const size_t h = ld.size();
+  TridiagBlocks k;
+  k.diag.assign(h, Block6{});
+  k.sub.assign(h - 1, Block6{});
+  for (size_t s = 0; s < h; ++s)
+    for (size_t i = 0; i < 6; ++i)
+      for (size_t j = 0; j < 6; ++j) {
+        double d = 0.0;
+        for (size_t c = 0; c < 6; ++c) d += ld[s].m[i][c] * ld[s].m[j][c];
+        if (s > 0)
+          for (size_t c = 0; c < 6; ++c)
+            d += ls[s - 1].m[i][c] * ls[s - 1].m[j][c];
+        k.diag[s].m[i][j] = d;
+        if (s + 1 < h) {
+          double o = 0.0;
+          for (size_t c = 0; c < 6; ++c) o += ls[s].m[i][c] * ld[s].m[j][c];
+          k.sub[s].m[i][j] = o;
+        }
+      }
+  return k;
+}
+
+Block6 random_lower_block(Rng& rng) {
+  Block6 b = random_small<6, 6>(rng, -0.5, 0.5);
+  for (size_t i = 0; i < 6; ++i) {
+    for (size_t j = i + 1; j < 6; ++j) b.m[i][j] = 0.0;
+    b.m[i][i] = rng.uniform(1.0, 2.0);
+  }
+  return b;
+}
+
+/// Factor `k` fresh with a full factorisation.
+TridiagBlocks full_factor(const TridiagBlocks& k) {
+  TridiagBlocks f = k;
+  BlockTridiagCholesky<6> chol;
+  chol.factor(f.diag, f.sub);
+  return f;
+}
+
+/// Storage factored from `before`, then blocks >= first re-loaded from
+/// `after` and refactored from `first` — what a polish round does.
+TridiagBlocks partial_refactor(const TridiagBlocks& before,
+                               const TridiagBlocks& after, size_t first,
+                               size_t* ops = nullptr) {
+  TridiagBlocks f = before;
+  BlockTridiagCholesky<6> chol;
+  chol.factor(f.diag, f.sub);
+  for (size_t k = first; k < f.diag.size(); ++k) {
+    f.diag[k] = after.diag[k];
+    if (k < f.sub.size()) f.sub[k] = after.sub[k];
+  }
+  chol.reset_block_ops();
+  chol.factor(f.diag, f.sub, first);
+  if (ops) *ops = chol.block_ops();
+  return f;
+}
+
+bool same_bits(const TridiagBlocks& a, const TridiagBlocks& b) {
+  if (a.diag.size() != b.diag.size() || a.sub.size() != b.sub.size())
+    return false;
+  for (size_t k = 0; k < a.diag.size(); ++k)
+    if (!same_bits(a.diag[k], b.diag[k])) return false;
+  for (size_t k = 0; k < a.sub.size(); ++k)
+    if (!same_bits(a.sub[k], b.sub[k])) return false;
+  return true;
+}
+
+TEST(BlockTridiagCholesky, PartialRefactorIsBitwiseTheFullRefactor) {
+  const size_t h = 9;
+  for (const size_t first : {size_t{0}, size_t{1}, h / 2, h - 1}) {
+    Rng rng(40 + first);
+    std::vector<Block6> ld(h), ls(h - 1);
+    for (size_t k = 0; k < h; ++k) {
+      ld[k] = random_lower_block(rng);
+      if (k + 1 < h) ls[k] = random_small<6, 6>(rng, -0.5, 0.5);
+    }
+    const TridiagBlocks before = tridiag_from_factor(ld, ls);
+    // New L blocks from stage `first` on: D_k (k < first) and
+    // S_first = sub[first - 1] keep their values, D_first and every
+    // later block change.
+    for (size_t k = first; k < h; ++k) {
+      ld[k] = random_lower_block(rng);
+      if (k + 1 < h) ls[k] = random_small<6, 6>(rng, -0.5, 0.5);
+    }
+    const TridiagBlocks after = tridiag_from_factor(ld, ls);
+
+    size_t ops = 0;
+    const TridiagBlocks partial = partial_refactor(before, after, first, &ops);
+    const TridiagBlocks full = full_factor(after);
+    EXPECT_TRUE(same_bits(partial, full)) << "first " << first;
+    // Exact cost: stage `first` pays syrk + chol (chol alone at 0), every
+    // later stage trsm + syrk + chol.
+    EXPECT_EQ(ops, first == 0 ? 1 + 3 * (h - 1) : 2 + 3 * (h - 1 - first))
+        << "first " << first;
+  }
+}
+
+TEST(BlockTridiagCholesky, PartialRefactorNeedsAPreviousFactor) {
+  Rng rng(48);
+  std::vector<Block6> ld(4), ls(3);
+  for (size_t k = 0; k < 4; ++k) {
+    ld[k] = random_lower_block(rng);
+    if (k < 3) ls[k] = random_small<6, 6>(rng, -0.5, 0.5);
+  }
+  TridiagBlocks k = tridiag_from_factor(ld, ls);
+  BlockTridiagCholesky<6> chol;
+  EXPECT_THROW(chol.factor(k.diag, k.sub, 1), SimError);
+  chol.factor(k.diag, k.sub);
+  TridiagBlocks other = k;  // different storage
+  EXPECT_THROW(chol.factor(other.diag, other.sub, 1), SimError);
+}
 
 // ---------------------------------------------------------------------------
 // Structured solver vs the dense oracle on randomised stage problems.
@@ -304,6 +497,113 @@ TEST(LtvQpSolver, FactorizationReusedOnIdenticalResolve) {
   const QpResult second = solver.solve(p, opt, warm);
   ASSERT_TRUE(second.converged);
   EXPECT_EQ(second.kkt_refactorizations, 0u);
+}
+
+// The weighted polish KKT  K = P + sigma I + A^T diag(w) A  of a stage
+// problem, from the dense oracle, cut into its 6x6 stage blocks.
+TridiagBlocks weighted_kkt_blocks(const LtvQpProblem& p, const Vector& w,
+                                  double sigma) {
+  const QpProblem d = ltv_qp_to_dense(p);
+  const size_t h = p.horizon();
+  const size_t n = p.num_vars();
+  const size_t m = p.num_rows();
+  Matrix k(n, n);
+  for (size_t i = 0; i < n; ++i)
+    for (size_t j = 0; j < n; ++j) {
+      double v = d.p(i, j) + (i == j ? sigma : 0.0);
+      for (size_t r = 0; r < m; ++r) v += d.a(r, i) * w[r] * d.a(r, j);
+      k(i, j) = v;
+    }
+  TridiagBlocks b;
+  b.diag.assign(h, Block6{});
+  b.sub.assign(h - 1, Block6{});
+  for (size_t s = 0; s < h; ++s)
+    for (size_t i = 0; i < 6; ++i)
+      for (size_t j = 0; j < 6; ++j) {
+        b.diag[s].m[i][j] = k(6 * s + i, 6 * s + j);
+        if (s + 1 < h) b.sub[s].m[i][j] = k(6 * (s + 1) + i, 6 * s + j);
+      }
+  return b;
+}
+
+/// Lowest stage block (diagonal or sub-diagonal index) that differs.
+size_t lowest_changed_block(const TridiagBlocks& a, const TridiagBlocks& b) {
+  for (size_t k = 0; k < a.diag.size(); ++k)
+    if (!same_bits(a.diag[k], b.diag[k]) ||
+        (k < a.sub.size() && !same_bits(a.sub[k], b.sub[k])))
+      return k;
+  return a.diag.size();
+}
+
+TEST(LtvQpSolver, RowWeightChangeReachesNoBlockBelowItsFirstBlock) {
+  // Toggling any one row's weight changes exactly the blocks from
+  // ltv_kkt_first_block(row) on — the rule the polish restarts by.
+  Rng rng(60);
+  const LtvQpProblem p = random_ltv_problem(rng, 5);
+  Vector w(p.num_rows(), kLtvPolishWeight);
+  const TridiagBlocks base = weighted_kkt_blocks(p, w, 1e-3);
+  for (size_t row = 0; row < p.num_rows(); ++row) {
+    Vector toggled = w;
+    toggled[row] = 0.0;
+    const TridiagBlocks changed = weighted_kkt_blocks(p, toggled, 1e-3);
+    EXPECT_EQ(lowest_changed_block(base, changed), ltv_kkt_first_block(row))
+        << "row " << row;
+  }
+}
+
+TEST(LtvQpSolver, SameStageBoxAndBatteryChangeRestartsAtTheLowerBlock) {
+  // One repair round edits two rows of stage 3: a control box (its own
+  // block) and the battery row (which also reaches block 2). The
+  // restart block is the minimum over ALL edited rows; restarting at
+  // the first edited row's block leaves a stale factor behind.
+  Rng rng(61);
+  const LtvQpProblem p = random_ltv_problem(rng, 6);
+  const size_t stage = 3;
+  const size_t box = kLtvStageRows * stage, battery = box + 10;
+  Vector w(p.num_rows(), kLtvPolishWeight);
+  w[box] = 0.0;
+  const TridiagBlocks before = weighted_kkt_blocks(p, w, 1e-3);
+  w[box] = kLtvPolishWeight;  // added back
+  w[battery] = 0.0;           // dropped
+  const TridiagBlocks after = weighted_kkt_blocks(p, w, 1e-3);
+
+  const size_t first =
+      std::min(ltv_kkt_first_block(box), ltv_kkt_first_block(battery));
+  ASSERT_EQ(first, stage - 1);
+  const TridiagBlocks full = full_factor(after);
+  EXPECT_TRUE(same_bits(partial_refactor(before, after, first), full));
+  EXPECT_FALSE(same_bits(
+      partial_refactor(before, after, ltv_kkt_first_block(box)), full));
+}
+
+TEST(LtvQpSolver, PolishedSolveIsBitwiseIndependentOfThePreviousSolve) {
+  // The polish factor storage persists across solves and later rounds
+  // keep its low blocks; nothing of problem A may leak into B's answer.
+  QpOptions opt;
+  opt.eps_abs = 0.2;
+  opt.eps_rel = 0.2;
+  opt.max_iterations = 4000;
+  opt.polish = true;
+  size_t polished = 0;
+  for (int seed = 0; seed < 4; ++seed) {
+    Rng rng_a(static_cast<std::uint64_t>(500 + seed));
+    Rng rng_b(static_cast<std::uint64_t>(600 + seed));
+    const LtvQpProblem a = random_ltv_problem(rng_a, 30);
+    const LtvQpProblem b = random_ltv_problem(rng_b, 30);
+
+    LtvQpSolver reused;
+    reused.solve(a, opt);
+    const QpResult rb = reused.solve(b, opt);
+    LtvQpSolver fresh;
+    const QpResult fb = fresh.solve(b, opt);
+    ASSERT_TRUE(fb.converged) << "seed " << seed;
+    EXPECT_TRUE(same_bits(rb.x, fb.x)) << "seed " << seed;
+    EXPECT_TRUE(same_bits(rb.y, fb.y)) << "seed " << seed;
+    EXPECT_EQ(rb.polished, fb.polished) << "seed " << seed;
+    EXPECT_EQ(rb.stage_block_ops, fb.stage_block_ops) << "seed " << seed;
+    if (fb.polished) ++polished;
+  }
+  EXPECT_GT(polished, 0u);  // the comparison covered polished answers
 }
 
 TEST(LtvQpSolver, StageBlockOpsPerIterationGrowLinearlyInHorizon) {

@@ -388,6 +388,45 @@ TEST(DiagnosticsSink, CapturesSolverDiagnosticsEndToEnd) {
   std::remove(events.c_str());
 }
 
+TEST(DiagnosticsSink, RtiLtvMissionCountsUnsettledPolishes) {
+  // At the RTI serving point (H=30, one SQP round, eps 0.2) a share of
+  // the QP rounds end their polish with a working set that never
+  // settled; the counter makes that share visible next to the
+  // accepted-polish count, which cannot show it.
+  Config cfg;
+  cfg.set_pair("ltv.sqp_iterations=1");
+  cfg.set_pair("ltv.qp.eps=0.2");
+  const core::SystemSpec spec = core::SystemSpec::from_config(cfg);
+  auto methodology = core::make_methodology("otem-ltv", spec, cfg);
+  const TimeSeries speed = vehicle::generate_synthetic(12, 300.0, 30.0);
+  const TimeSeries load =
+      vehicle::Powertrain(spec.vehicle).power_trace(speed);
+
+  obs::MetricsRegistry registry;
+  sim::DiagnosticsSink diag(registry);
+  const std::string events = temp_path("unsettled.jsonl");
+  sim::JsonlEventSink jsonl(events);
+  sim::RunOptions ropt;
+  ropt.record_trace = false;
+  sim::Simulator(spec).run_with_sinks(*methodology, load, ropt,
+                                      {&diag, &jsonl});
+
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  const std::uint64_t rounds = snap.counters.at("solver.solves");
+  const std::uint64_t unsettled =
+      snap.counters.at("solver.qp_polish_unsettled");
+  EXPECT_EQ(rounds, load.size());  // one QP round per step
+  EXPECT_GT(unsettled, 0u);
+  EXPECT_LT(unsettled, rounds);
+  // The events carry it per step, only where it is non-zero.
+  size_t flagged = 0;
+  for (const std::string& line : read_lines(events))
+    if (line.find("\"qp_polish_unsettled\":1") != std::string::npos)
+      ++flagged;
+  EXPECT_EQ(flagged, unsettled);
+  std::remove(events.c_str());
+}
+
 TEST(DiagnosticsSink, ReactiveBaselineHasNoSolverMetrics) {
   const core::SystemSpec spec =
       core::SystemSpec::from_config(Config());

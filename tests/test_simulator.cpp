@@ -10,7 +10,9 @@
 #include "common/error.h"
 #include "core/parallel_methodology.h"
 #include "exec/stop_token.h"
+#include "obs/metrics.h"
 #include "sim/metrics.h"
+#include "sim/obs_sink.h"
 #include "sim/simulator.h"
 #include "sim/step_sink.h"
 #include "vehicle/drive_cycle.h"
@@ -227,6 +229,30 @@ TEST(Simulator, CancelMidMissionThrowsSimCancelledAndFinalizesSinks) {
   EXPECT_TRUE(probe.end_called());
   // The closed totals describe the 50 steps that ran, not the route.
   EXPECT_EQ(metrics.result().duration_s, 50 * power.dt());
+}
+
+TEST(Simulator, CancelMidMissionReportsTheStepsThatRanToDiagnostics) {
+  // DiagnosticsSink sees only eventful samples, so it cannot count the
+  // steps itself; it must report the Stepper's count, not the route
+  // length the run was started with.
+  const core::SystemSpec spec = default_spec();
+  const Simulator sim(spec);
+  core::ParallelMethodology m(spec);
+  const TimeSeries power = udds_power(spec);
+  ASSERT_GT(power.size(), 100u);
+
+  exec::StopSource source;
+  RunOptions opt;
+  opt.stop = source.token();
+  CancelProbeSink probe(source, 50);
+  obs::MetricsRegistry registry;
+  DiagnosticsSink diag(registry);
+  std::vector<StepSink*> sinks{&probe, &diag};
+  EXPECT_THROW(sim.run_with_sinks(m, power, opt, sinks), SimCancelled);
+  ASSERT_EQ(probe.records(), 50u);
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counters.at("sim.steps"), 50u);
+  EXPECT_EQ(snap.gauges.at("sim.duration_s"), 50 * power.dt());
 }
 
 TEST(Simulator, CancelBeforeTheFirstStepReportsZeroPowerNotNaN) {
