@@ -1,5 +1,6 @@
 #include "common/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -73,8 +74,19 @@ size_t Json::size() const {
   }
 }
 
-namespace {
-void append_escaped(std::string& out, const std::string& s) {
+void append_json_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
+  // The longest "%.12g" spelling, "-1.23456789012e-308", is 19 bytes.
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof(buf), v, std::chars_format::general, 12);
+  out.append(buf, r.ptr);
+}
+
+void append_json_string(std::string& out, std::string_view s) {
   out += '"';
   for (char c : s) {
     switch (c) {
@@ -117,6 +129,7 @@ void append_escaped(std::string& out, const std::string& s) {
   out += '"';
 }
 
+namespace {
 void append_newline_indent(std::string& out, int indent, int depth) {
   if (indent <= 0) return;
   out += '\n';
@@ -132,18 +145,11 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
     case Type::kBool:
       out += bool_ ? "true" : "false";
       return;
-    case Type::kNumber: {
-      if (!std::isfinite(number_)) {
-        out += "null";
-        return;
-      }
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.12g", number_);
-      out += buf;
+    case Type::kNumber:
+      append_json_number(out, number_);
       return;
-    }
     case Type::kString:
-      append_escaped(out, string_);
+      append_json_string(out, string_);
       return;
     case Type::kArray: {
       if (items_.empty()) {
@@ -169,7 +175,7 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
       for (size_t i = 0; i < members_.size(); ++i) {
         if (i) out += ',';
         append_newline_indent(out, indent, depth + 1);
-        append_escaped(out, members_[i].first);
+        append_json_string(out, members_[i].first);
         out += indent > 0 ? ": " : ":";
         members_[i].second.dump_to(out, indent, depth + 1);
       }

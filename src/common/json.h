@@ -2,18 +2,25 @@
 //
 // Just enough JSON for result reports (sim/report.h) and the serve
 // protocol (serve/protocol.h): objects keep insertion order, numbers
-// print with %.12g, non-finite doubles encode as null, every control
-// character (U+0000–U+001F) in a string escapes as \uXXXX (or the
-// short \b \t \n \f \r forms), so an emitted document is always one
-// well-formed line. Json::parse is a strict recursive-descent reader
-// of the same dialect (full \uXXXX incl. surrogate pairs → UTF-8, a
-// nesting-depth guard against hostile input) — dump() and parse()
-// round-trip each other, which the serve daemon relies on to echo
-// client-supplied request ids verbatim.
+// print as printf's "%.12g" would, non-finite doubles encode as null,
+// every control character (U+0000–U+001F) in a string escapes as
+// \uXXXX (or the short \b \t \n \f \r forms), so an emitted document
+// is always one well-formed line. Json::parse is a strict
+// recursive-descent reader of the same dialect (full \uXXXX incl.
+// surrogate pairs → UTF-8, a nesting-depth guard against hostile
+// input) — dump() and parse() round-trip each other, which the serve
+// daemon relies on to echo client-supplied request ids verbatim.
+//
+// Json::dump writes every number and string through the two free
+// writers below, append_json_number and append_json_string. A hot
+// path with a fixed document shape (the serve daemon's session.step
+// reply) calls them directly instead of building a Json tree first,
+// so its bytes are exactly those dump() would have written.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -103,6 +110,19 @@ class Json {
   std::vector<Json> items_;                                // array
   std::vector<std::pair<std::string, Json>> members_;      // object
 };
+
+/// Append `v` as a JSON number: the bytes of printf's "%.12g" in the
+/// "C" locale, which std::to_chars(first, last, v,
+/// std::chars_format::general, 12) is defined to produce, without
+/// printf's format parsing and locale lookup. A non-finite value
+/// writes null (JSON has no NaN or infinity).
+void append_json_number(std::string& out, double v);
+
+/// Append `s` as a quoted JSON string: '"' and '\\' are escaped, the
+/// named controls use their short forms (\b \t \n \f \r) and every
+/// other control character (U+0000–U+001F) becomes \u00xx; all other
+/// bytes, UTF-8 included, are copied as they are.
+void append_json_string(std::string& out, std::string_view s);
 
 /// Write JSON to a file; throws otem::SimError on failure.
 void write_json_file(const std::string& path, const Json& value);

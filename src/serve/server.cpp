@@ -1,12 +1,14 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -81,6 +83,26 @@ bool is_output_override(const std::string& key) {
          key == "record_trace" || key == "trace_out";
 }
 
+/// The otem.serve.v1 method vocabulary (serve/protocol.h), indexed by
+/// Method. Only these names get a serve.requests.<method> counter, and
+/// the Server resolves all of them when it is built: a method name is
+/// client input, so counting it under its own name would let clients
+/// grow the registry without bound.
+enum Method : size_t {
+  kPing,
+  kMetrics,
+  kStats,
+  kMethods,
+  kRun,
+  kSessionOpen,
+  kSessionStep,
+  kSessionClose,
+  kMethodCount,
+};
+constexpr std::array<std::string_view, kMethodCount> kMethodNames = {
+    "ping", "metrics",      "stats",        "methods",
+    "run",  "session.open", "session.step", "session.close"};
+
 /// One quantile-sketch snapshot as the `stats` method reports it.
 Json sketch_stats_json(const obs::Sketch::Snapshot& s) {
   Json j = Json::object();
@@ -114,6 +136,10 @@ Server::Server(const ServerOptions& options)
   for (size_t i = 0; i < options_.workers; ++i) {
     worker_latency_.push_back(&registry_.sketch(
         "serve.worker" + std::to_string(i) + ".request_latency_us"));
+  }
+  for (const std::string_view method : kMethodNames) {
+    request_counters_.push_back(&registry_.counter(
+        "serve.requests." + std::string(method)));
   }
   for (const std::string& key : options_.base.keys())
     base_pairs_.emplace_back(key, options_.base.get_string(key, ""));
@@ -199,19 +225,22 @@ std::string Server::handle_line(const std::string& line, size_t worker) {
     return error_response(Json(), ErrorCode::kInternal, e.what());
   }
 
-  registry_.counter("serve.requests." + req.method).add();
+  const auto method = static_cast<size_t>(
+      std::find(kMethodNames.begin(), kMethodNames.end(), req.method) -
+      kMethodNames.begin());
+  if (method < kMethodCount) request_counters_[method]->add();
 
   try {
-    if (req.method == "ping") {
+    if (method == kPing) {
       Json result = Json::object();
       result.set("pong", true);
       return build_ok_response(req.id, false, result.dump(0));
     }
-    if (req.method == "metrics") {
+    if (method == kMetrics) {
       return build_ok_response(
           req.id, false, obs::snapshot_to_json(registry_.snapshot()).dump(0));
     }
-    if (req.method == "stats") {
+    if (method == kStats) {
       // Live introspection: exact latency / queue-wait quantiles from
       // the sketches, plus per-name aggregates of the spans still in
       // the flight-recorder rings (empty unless tracing is enabled).
@@ -248,7 +277,7 @@ std::string Server::handle_line(const std::string& line, size_t worker) {
       result.set("spans", std::move(spans));
       return build_ok_response(req.id, false, result.dump(0));
     }
-    if (req.method == "methods") {
+    if (method == kMethods) {
       Json names = Json::array();
       for (const std::string& name :
            core::MethodologyRegistry::instance().names())
@@ -257,7 +286,7 @@ std::string Server::handle_line(const std::string& line, size_t worker) {
       result.set("methods", std::move(names));
       return build_ok_response(req.id, false, result.dump(0));
     }
-    if (req.method == "run") {
+    if (method == kRun) {
       // Latency is recorded HERE, on every completion path (success,
       // cache hit, refusal, error) — and t0 is taken at frame entry, so
       // it always includes queue wait and parse time.
@@ -267,19 +296,19 @@ std::string Server::handle_line(const std::string& line, size_t worker) {
       worker_latency_[worker]->record(latency);
       return response;
     }
-    if (req.method == "session.open") {
+    if (method == kSessionOpen) {
       const std::string response = handle_session_open(req);
       worker_latency_[worker]->record(obs::now_us() - t0);
       return response;
     }
-    if (req.method == "session.step") {
+    if (method == kSessionStep) {
       const std::string response = handle_session_step(req);
       const double latency = obs::now_us() - t0;
       session_step_sketch_.record(latency);
       worker_latency_[worker]->record(latency);
       return response;
     }
-    if (req.method == "session.close") {
+    if (method == kSessionClose) {
       const std::string response = handle_session_close(req);
       worker_latency_[worker]->record(obs::now_us() - t0);
       return response;
@@ -414,25 +443,6 @@ std::string Server::handle_run(const Request& req) {
   return response;
 }
 
-namespace {
-
-Json solve_to_json(const core::SolveDiagnostics& s) {
-  Json j = Json::object();
-  j.set("present", s.present);
-  j.set("converged", s.converged);
-  j.set("fallback", s.fallback);
-  j.set("iterations", s.iterations);
-  j.set("sqp_rounds", s.sqp_rounds);
-  j.set("qp_iterations", s.qp_iterations);
-  j.set("qp_warm_hits", s.qp_warm_hits);
-  j.set("kkt_refactorizations", s.kkt_refactorizations);
-  j.set("qp_polish_hits", s.qp_polish_hits);
-  j.set("solve_time_us", s.solve_time_us);
-  return j;
-}
-
-}  // namespace
-
 std::string Server::handle_session_open(const Request& req) {
   if (stopping()) {
     return error_response(req.id, ErrorCode::kDraining,
@@ -485,28 +495,50 @@ std::string Server::handle_session_step(const Request& req) {
     const Session::StepOutcome out =
         session->step(req.has_p_request, req.p_request_w);
     const core::StepRecord& rec = out.rec;
+    const core::SolveDiagnostics& solve = rec.solve;
 
-    Json result = Json::object();
-    result.set("session", req.session);
-    result.set("k", out.k);
-    result.set("p_request_w", out.p_request_w);
-    Json decision = Json::object();
-    decision.set("p_cooler_w", rec.p_cooler_w);
-    decision.set("t_inlet_k", rec.t_inlet_k);
-    decision.set("p_cap_w", rec.e_cap_j / session->dt());
-    decision.set("i_bat_a", rec.i_bat_a);
-    decision.set("i_cap_a", rec.i_cap_a);
-    result.set("decision", std::move(decision));
-    Json state = Json::object();
-    state.set("t_battery_k", rec.state_after.t_battery_k);
-    state.set("t_coolant_k", rec.state_after.t_coolant_k);
-    state.set("soc_percent", rec.state_after.soc_percent);
-    state.set("soe_percent", rec.state_after.soe_percent);
-    result.set("state", std::move(state));
-    result.set("feasible", rec.feasible);
-    result.set("unmet_w", rec.unmet_w);
-    result.set("solve", solve_to_json(rec.solve));
-    return build_ok_response(req.id, false, result.dump(0));
+    // The reply has one fixed shape, so it is written straight into the
+    // string: keys, with the punctuation before them, are literals, and
+    // values go through the writers Json::dump uses, so the bytes are
+    // those a dumped Json tree of the same object would have.
+    std::string result;
+    result.reserve(512);
+    const auto number = [&result](std::string_view key, double v) {
+      result += key;
+      append_json_number(result, v);
+    };
+    const auto boolean = [&result](std::string_view key, bool b) {
+      result += key;
+      result += b ? "true" : "false";
+    };
+    result += "{\"session\":";
+    append_json_string(result, req.session);
+    number(",\"k\":", static_cast<double>(out.k));
+    number(",\"p_request_w\":", out.p_request_w);
+    number(",\"decision\":{\"p_cooler_w\":", rec.p_cooler_w);
+    number(",\"t_inlet_k\":", rec.t_inlet_k);
+    number(",\"p_cap_w\":", rec.e_cap_j / session->dt());
+    number(",\"i_bat_a\":", rec.i_bat_a);
+    number(",\"i_cap_a\":", rec.i_cap_a);
+    number("},\"state\":{\"t_battery_k\":", rec.state_after.t_battery_k);
+    number(",\"t_coolant_k\":", rec.state_after.t_coolant_k);
+    number(",\"soc_percent\":", rec.state_after.soc_percent);
+    number(",\"soe_percent\":", rec.state_after.soe_percent);
+    boolean("},\"feasible\":", rec.feasible);
+    number(",\"unmet_w\":", rec.unmet_w);
+    boolean(",\"solve\":{\"present\":", solve.present);
+    boolean(",\"converged\":", solve.converged);
+    boolean(",\"fallback\":", solve.fallback);
+    number(",\"iterations\":", static_cast<double>(solve.iterations));
+    number(",\"sqp_rounds\":", static_cast<double>(solve.sqp_rounds));
+    number(",\"qp_iterations\":", static_cast<double>(solve.qp_iterations));
+    number(",\"qp_warm_hits\":", static_cast<double>(solve.qp_warm_hits));
+    number(",\"kkt_refactorizations\":",
+           static_cast<double>(solve.kkt_refactorizations));
+    number(",\"qp_polish_hits\":", static_cast<double>(solve.qp_polish_hits));
+    number(",\"solve_time_us\":", solve.solve_time_us);
+    result += "}}";
+    return build_ok_response(req.id, false, result);
   } catch (const SimError& e) {
     return error_response(req.id, ErrorCode::kBadRequest, e.what());
   }

@@ -51,8 +51,9 @@
 // Observability (registry(), all under serve.*): queue depth gauge,
 // request latency and queue-wait histograms AND quantile sketches
 // (latency covers every run completion path — success, cache hit and
-// error — and therefore includes queue wait), per-method request
-// counters, per-code error counters, cache hit/miss/coalesced/eviction
+// error — and therefore includes queue wait), request counters for
+// the eight protocol methods (unknown ones count only as an error),
+// per-code error counters, cache hit/miss/coalesced/eviction
 // counters and byte/entry gauges, connection counter. The `stats`
 // method returns the live latency/queue-wait quantiles plus per-name
 // summaries of recently recorded trace spans; `trace_out` enables the
@@ -233,6 +234,10 @@ class Server {
   /// Per-acceptor-worker request latency, merged in worker order by the
   /// `stats` method.
   std::vector<obs::Sketch*> worker_latency_;
+  /// serve.requests.<method>, one per protocol method, resolved at
+  /// construction so a frame pays no name concatenation or registry
+  /// lookup (server.cpp's method table gives the order).
+  std::vector<obs::Counter*> request_counters_;
   obs::Gauge& queue_depth_;
 };
 

@@ -1,9 +1,15 @@
 // Tests for the JSON emitter and the run-report serialisation.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <sstream>
 
 #include "common/error.h"
@@ -64,6 +70,113 @@ TEST(Json, TypeMisuseThrows) {
 
 TEST(Json, NumbersHelper) {
   EXPECT_EQ(Json::numbers({1.0, 2.5}).dump(0), "[1,2.5]");
+}
+
+// --- number formatting ------------------------------------------------------
+// Every JSON document the repository writes prints its numbers exactly as
+// printf's "%.12g" does: reports, replies and summaries are compared as
+// bytes, so the spelling is part of their format.
+
+std::string printf_12g(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.12g", v);
+  return buf;
+}
+
+void expect_printf_12g(double v) {
+  EXPECT_EQ(Json(v).dump(0), printf_12g(v))
+      << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v);
+}
+
+TEST(JsonNumbers, ExtremesAndSignedZero) {
+  using lim = std::numeric_limits<double>;
+  for (double v : {0.0, -0.0, lim::denorm_min(), DBL_MIN, DBL_MAX,
+                   std::nextafter(DBL_MIN, 0.0), lim::epsilon()}) {
+    expect_printf_12g(v);
+    expect_printf_12g(-v);
+  }
+  EXPECT_EQ(Json(-0.0).dump(0), "-0");
+}
+
+TEST(JsonNumbers, FixedExponentBoundaries) {
+  // %g switches between fixed and exponent notation at a decimal
+  // exponent of -5 and at the precision (12); 1e15/1e16 bracket the
+  // magnitudes where doubles stop holding every integer digit. Probe
+  // each boundary a few ulps either side, and at the 12-digit values
+  // that round onto or just below it.
+  for (double b : {1e-5, 1e-4, 1e11, 1e12, 1e15, 1e16}) {
+    for (double v : {b, b * (1.0 - 5e-13), b * (1.0 - 4.9e-13),
+                     b * (1.0 - 5.1e-13), b * (1.0 - 1e-12),
+                     b * (1.0 + 5e-12)}) {
+      double up = v;
+      double down = v;
+      for (int ulp = 0; ulp < 8; ++ulp) {
+        for (double w : {up, down}) {
+          expect_printf_12g(w);
+          expect_printf_12g(-w);
+        }
+        up = std::nextafter(up, DBL_MAX);
+        down = std::nextafter(down, 0.0);
+      }
+    }
+  }
+}
+
+TEST(JsonNumbers, TwelveDigitHalfwayCases) {
+  // Exactly representable 13-digit values ending in 5: ties at the
+  // twelfth digit, which printf rounds half to even on the exact
+  // binary value.
+  for (double v : {1234567890.125, 1234567890.375, 0.5, 2.5, 1.25e-1,
+                   1234567890125.0, 1234567890135.0, 9999999999995.0,
+                   9999999999985.0, 4503599627370.5, 0.0009765625}) {
+    expect_printf_12g(v);
+    expect_printf_12g(-v);
+  }
+  // Decimal ties that are not exact in binary fall either side.
+  for (double v : {0.1234567890125, 1.0000000000005, 299.9999999995,
+                   2.0000000000015e-7, 7.7777777777775e200}) {
+    expect_printf_12g(v);
+    expect_printf_12g(std::nextafter(v, 0.0));
+    expect_printf_12g(std::nextafter(v, DBL_MAX));
+  }
+}
+
+TEST(JsonNumbers, IntegersUpToTwoToThe53) {
+  for (int e = 0; e <= 53; ++e) {
+    const double p = std::ldexp(1.0, e);
+    expect_printf_12g(p);
+    expect_printf_12g(p - 1.0);
+    expect_printf_12g(-(p + 1.0));
+  }
+  double ten = 1.0;
+  for (int e = 0; e <= 16; ++e, ten *= 10.0) {
+    expect_printf_12g(ten);
+    expect_printf_12g(ten - 1.0);
+    expect_printf_12g(ten + 1.0);
+  }
+  for (long long v : {7LL, 98LL, 617LL, 20000LL, 999999999999LL,
+                      1000000000001LL, 123456789012345LL})
+    expect_printf_12g(static_cast<double>(v));
+}
+
+TEST(JsonNumbers, SeededDoublesAcrossTheExponentRange) {
+  // 100 000 uniformly random bit patterns (every binary exponent is
+  // equally likely, subnormals included) and 100 000 values built from
+  // 13 random decimal digits, which sit on or next to a twelfth-digit
+  // tie far more often than random bits do.
+  std::mt19937_64 rng(20161);
+  for (int i = 0; i < 100000; ++i) {
+    const auto v = std::bit_cast<double>(rng());
+    if (std::isfinite(v)) expect_printf_12g(v);
+  }
+  std::uniform_int_distribution<long long> digits(1000000000000LL,
+                                                  9999999999999LL);
+  std::uniform_int_distribution<int> exponent(-320, 295);
+  for (int i = 0; i < 100000; ++i) {
+    char text[40];
+    std::snprintf(text, sizeof(text), "%llde%d", digits(rng), exponent(rng));
+    expect_printf_12g(std::strtod(text, nullptr));
+  }
 }
 
 TEST(JsonReport, RunReportRoundtripsToFile) {

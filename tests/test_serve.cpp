@@ -12,7 +12,9 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -102,6 +104,33 @@ TEST(ServeProtocol, UnknownMethodGoldenTranscript) {
       "{\"schema\":\"otem.serve.v1\",\"id\":null,\"ok\":false,"
       "\"error\":\"unknown_method\",\"message\":"
       "\"unknown method 'frobnicate'\"}");
+}
+
+TEST(ServeProtocol, UnknownMethodsCreateNoCounters) {
+  // Method names are client input: inventing them must not grow the
+  // registry (nor every later metrics reply). They are counted once,
+  // under serve.errors.unknown_method.
+  Server server(test_options());
+  const auto unknown = [&](const std::string& method) {
+    return server.handle_line(
+        "{\"schema\":\"otem.serve.v1\",\"method\":\"" + method + "\"}");
+  };
+  const auto names = [](const std::map<std::string, std::uint64_t>& m) {
+    std::vector<std::string> keys;
+    for (const auto& [name, value] : m) keys.push_back(name);
+    return keys;
+  };
+  unknown("warm-up");
+  const std::map<std::string, std::uint64_t> before =
+      server.registry().snapshot().counters;
+  for (int i = 0; i < 1000; ++i) unknown("no-such-method" + std::to_string(i));
+  const std::map<std::string, std::uint64_t> after =
+      server.registry().snapshot().counters;
+
+  EXPECT_EQ(names(after), names(before));
+  ASSERT_EQ(after.count("serve.errors.unknown_method"), 1u);
+  EXPECT_EQ(after.at("serve.errors.unknown_method"),
+            before.at("serve.errors.unknown_method") + 1000);
 }
 
 TEST(ServeProtocol, MethodsListsTheRegistry) {

@@ -149,6 +149,75 @@ TEST(ServeSession, ExplicitPowerRequestOverridesTheRouteForecast) {
   EXPECT_EQ(step.find("p_request_w")->as_number(), 12345.5);
 }
 
+TEST(ServeSession, StepGoldenTranscript) {
+  // The exact reply bytes of a reactive session's first steps: route
+  // and explicit (positive, negative) power requests, and request ids
+  // of every kind, one of which needs escaping. Any change to how a
+  // step reply is written must keep these bytes.
+  Server server(session_test_options());
+  EXPECT_EQ(server.handle_line(open_request()),
+            "{\"schema\":\"otem.serve.v1\",\"id\":null,\"ok\":true,"
+            "\"cached\":false,\"result\":{\"session\":\"s1\","
+            "\"methodology\":\"parallel\",\"dt_s\":1,\"route_steps\":98}}");
+  EXPECT_EQ(
+      server.handle_line(
+          step_request("s1", ",\"id\":\"k0 \\\"q\\\" \\\\ \\t\\u0001\"")),
+      "{\"schema\":\"otem.serve.v1\",\"id\":\"k0 \\\"q\\\" \\\\ \\t\\u0001\","
+      "\"ok\":true,\"cached\":false,\"result\":{\"session\":\"s1\",\"k\":0,"
+      "\"p_request_w\":700,\"decision\":{\"p_cooler_w\":0,"
+      "\"t_inlet_k\":298.012,\"p_cap_w\":177.200272669,"
+      "\"i_bat_a\":1.32988020359,\"i_cap_a\":0.450203944856},"
+      "\"state\":{\"t_battery_k\":298.000133261,"
+      "\"t_coolant_k\":298.000465013,\"soc_percent\":99.9992552194,"
+      "\"soe_percent\":99.9986156229},\"feasible\":true,\"unmet_w\":0,"
+      "\"solve\":{\"present\":false,\"converged\":true,\"fallback\":false,"
+      "\"iterations\":0,\"sqp_rounds\":0,\"qp_iterations\":0,"
+      "\"qp_warm_hits\":0,\"kkt_refactorizations\":0,\"qp_polish_hits\":0,"
+      "\"solve_time_us\":0}}}");
+  EXPECT_EQ(
+      server.handle_line(
+          step_request("s1", ",\"id\":7,\"p_request_w\":12345.5")),
+      "{\"schema\":\"otem.serve.v1\",\"id\":7,\"ok\":true,\"cached\":false,"
+      "\"result\":{\"session\":\"s1\",\"k\":1,\"p_request_w\":12345.5,"
+      "\"decision\":{\"p_cooler_w\":0,\"t_inlet_k\":298.012427812,"
+      "\"p_cap_w\":3173.57103833,\"i_bat_a\":23.8254234066,"
+      "\"i_cap_a\":8.06299036112},\"state\":{\"t_battery_k\":298.004837019,"
+      "\"t_coolant_k\":298.000993169,\"soc_percent\":99.9859121284,"
+      "\"soe_percent\":99.9738220991},\"feasible\":true,\"unmet_w\":0,"
+      "\"solve\":{\"present\":false,\"converged\":true,\"fallback\":false,"
+      "\"iterations\":0,\"sqp_rounds\":0,\"qp_iterations\":0,"
+      "\"qp_warm_hits\":0,\"kkt_refactorizations\":0,\"qp_polish_hits\":0,"
+      "\"solve_time_us\":0}}}");
+  EXPECT_EQ(
+      server.handle_line(step_request("s1", ",\"p_request_w\":-2500.25")),
+      "{\"schema\":\"otem.serve.v1\",\"id\":null,\"ok\":true,"
+      "\"cached\":false,\"result\":{\"session\":\"s1\",\"k\":2,"
+      "\"p_request_w\":-2500.25,\"decision\":{\"p_cooler_w\":0,"
+      "\"t_inlet_k\":298.012913715,\"p_cap_w\":-644.659315352,"
+      "\"i_bat_a\":-4.69393982159,\"i_cap_a\":-1.63806837184},"
+      "\"state\":{\"t_battery_k\":298.004464118,"
+      "\"t_coolant_k\":298.00157382,\"soc_percent\":99.9885409029,"
+      "\"soe_percent\":99.9788585},\"feasible\":true,\"unmet_w\":0,"
+      "\"solve\":{\"present\":false,\"converged\":true,\"fallback\":false,"
+      "\"iterations\":0,\"sqp_rounds\":0,\"qp_iterations\":0,"
+      "\"qp_warm_hits\":0,\"kkt_refactorizations\":0,\"qp_polish_hits\":0,"
+      "\"solve_time_us\":0}}}");
+  EXPECT_EQ(
+      server.handle_line(step_request("s1")),
+      "{\"schema\":\"otem.serve.v1\",\"id\":null,\"ok\":true,"
+      "\"cached\":false,\"result\":{\"session\":\"s1\",\"k\":3,"
+      "\"p_request_w\":700,\"decision\":{\"p_cooler_w\":0,"
+      "\"t_inlet_k\":298.013447915,\"p_cap_w\":165.523829773,"
+      "\"i_bat_a\":1.35958258642,\"i_cap_a\":0.420582646553},"
+      "\"state\":{\"t_battery_k\":298.004572833,"
+      "\"t_coolant_k\":298.002129118,\"soc_percent\":99.9877794879,"
+      "\"soe_percent\":99.9775653451},\"feasible\":true,\"unmet_w\":0,"
+      "\"solve\":{\"present\":false,\"converged\":true,\"fallback\":false,"
+      "\"iterations\":0,\"sqp_rounds\":0,\"qp_iterations\":0,"
+      "\"qp_warm_hits\":0,\"kkt_refactorizations\":0,\"qp_polish_hits\":0,"
+      "\"solve_time_us\":0}}}");
+}
+
 TEST(ServeSession, SteppingPastTheRouteWithoutARequestIsABadRequest) {
   Server server(session_test_options());
   const Json open = ok_result(
