@@ -8,8 +8,8 @@ its instrumented variants at the same thread count:
   BM_FleetEvaluateMetrics/N — shared MetricsRegistry, DiagnosticsSink
       per mission, step-loop timing on;
   BM_FleetEvaluateTraced/N  — all of the above PLUS the span tracer
-      enabled (fleet.mission / sim.run / sim.step spans into the
-      per-thread flight-recorder rings).
+      enabled (sim.run / sim.step spans into the per-thread
+      flight-recorder rings).
 
 The contract — enforced in CI — is that each variant costs < 5 %
 wall-clock over the bare fleet. The measured delta is printed per

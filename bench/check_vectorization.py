@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Gate: the SoA lane loops must still auto-vectorize.
+"""Gate: the powertrain lane loop must still auto-vectorize.
 
 Reads a build log produced with -fopt-info-vec (GCC prints one
 "optimized: ... loop vectorized ..." remark per vectorized loop,
 prefixed with the source path) and requires at least one vectorized
-loop in every core lane-kernel translation unit. A refactor that
-reintroduces a libm call, an unspeculatable load or data-dependent
-control flow into a lane loop silently drops the batch tier back to
+loop in every required translation unit. By default that is
+src/vehicle/powertrain.cpp: Powertrain::power_lanes is the one lane
+loop left in the tree, and power_trace runs it over every route's
+samples. A refactor that reintroduces a libm call, an unspeculatable
+load or data-dependent control flow into it silently drops it back to
 scalar speed — the remark disappearing is the earliest, cheapest
 signal of that regression.
 
@@ -19,15 +21,9 @@ import sys
 
 from checklib import fail
 
-# Translation units holding the batched step_lanes()/power_lanes()
-# kernels (see docs/ARCHITECTURE.md, "Batched plant layer").
+# Translation units holding a lane loop (Powertrain::power_lanes).
 DEFAULT_REQUIRED = [
-    "src/thermal/cooling_system.cpp",
-    "src/battery/battery_model.cpp",
-    "src/battery/rc_model.cpp",
-    "src/ultracap/ultracap_model.cpp",
     "src/vehicle/powertrain.cpp",
-    "src/hees/parallel_arch.cpp",
 ]
 
 REMARK = re.compile(r"^(?P<file>\S+?):\d+:\d+: optimized:.*loop vectorized")
@@ -42,7 +38,7 @@ def main():
         default=None,
         metavar="FILE",
         help="source file that must show a vectorized loop "
-        "(repeatable; defaults to the core lane-kernel TUs)",
+        "(repeatable; defaults to src/vehicle/powertrain.cpp)",
     )
     args = ap.parse_args()
     required = args.require or DEFAULT_REQUIRED
@@ -67,9 +63,9 @@ def main():
             failed.append(req)
 
     if failed:
-        return fail(f"{len(failed)} lane-kernel TU(s) lost vectorization: "
+        return fail(f"{len(failed)} lane-loop TU(s) lost vectorization: "
                     + ", ".join(failed))
-    print(f"\nall {len(required)} lane-kernel TUs report vectorized loops")
+    print(f"\nall {len(required)} lane-loop TU(s) report vectorized loops")
     return 0
 
 

@@ -1,20 +1,22 @@
 // perf_fleet — google-benchmark timings for the execution subsystem:
-// fleet evaluation wall-clock at increasing thread counts (serial
-// baseline at threads=1), the same fleet with full instrumentation
-// attached (BM_FleetEvaluateMetrics) and with the span tracer enabled
-// on top (BM_FleetEvaluateTraced) — both held to the <5 % overhead
-// budget CI enforces via bench/check_overhead.py — the ADMM QP hot
-// path (cold
-// one-shot vs a warm persistent QpSolver workspace, ns per ADMM
-// iteration), and the obs primitives themselves (counter add,
-// histogram record, scoped timer). bench/run_benchmarks.sh wraps this
-// binary and emits BENCH_fleet.json so successive PRs have a perf
-// trajectory to regress against.
+// a 16-mission Monte-Carlo fleet stepped through exec::parallel_for at
+// increasing thread counts (serial baseline at threads=1), the same
+// missions with full instrumentation attached (BM_FleetEvaluateMetrics)
+// and with the span tracer enabled on top (BM_FleetEvaluateTraced) —
+// both held to the <5 % overhead budget CI enforces via
+// bench/check_overhead.py — the ADMM QP hot path (cold one-shot vs a
+// warm persistent QpSolver workspace, ns per ADMM iteration), and the
+// obs primitives themselves (counter add, histogram record, scoped
+// timer). bench/run_benchmarks.sh wraps this binary and emits
+// BENCH_fleet.json so successive PRs have a perf trajectory to regress
+// against.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <memory>
+#include <optional>
+#include <vector>
 
+#include "common/rng.h"
 #include "core/parallel_methodology.h"
 #include "exec/thread_pool.h"
 #include "obs/metrics.h"
@@ -22,7 +24,11 @@
 #include "obs/timer.h"
 #include "obs/trace.h"
 #include "optim/qp.h"
-#include "sim/fleet.h"
+#include "sim/obs_sink.h"
+#include "sim/simulator.h"
+#include "sim/step_sink.h"
+#include "vehicle/drive_cycle.h"
+#include "vehicle/powertrain.h"
 
 namespace {
 
@@ -30,36 +36,77 @@ using namespace otem;
 
 core::SystemSpec spec() { return core::SystemSpec::from_config(Config()); }
 
-sim::FleetOptions fleet_options(size_t threads) {
-  sim::FleetOptions f;  // default 16-mission fleet
-  f.seed = 7;
-  f.threads = threads;
-  // Shorter missions than the deployment default keep one benchmark
-  // iteration in the hundreds-of-ms range; the per-mission work is
-  // still a full closed-loop thermal/electrical simulation.
-  f.min_duration_s = 200.0;
-  f.max_duration_s = 500.0;
-  return f;
+/// One fleet mission's conditions. Drawn per mission in the order route
+/// seed, ambient, duration, initial charge.
+struct MissionDraw {
+  std::uint64_t route_seed = 0;
+  double ambient_k = 0.0;
+  double duration_s = 0.0;
+  double soe0 = 0.0;
+};
+
+/// The 16 seeded synthetic missions, drawn once and serially, so every
+/// width runs the same fleet. Missions are shorter than a deployment
+/// route to keep one benchmark iteration at a few milliseconds; each is
+/// still a full closed-loop thermal/electrical simulation.
+const std::vector<MissionDraw>& missions() {
+  static const std::vector<MissionDraw> draws = [] {
+    Rng rng(7);
+    std::vector<MissionDraw> out(16);
+    for (MissionDraw& d : out) {
+      d.route_seed = rng.next_u64();
+      d.ambient_k = rng.uniform(283.15, 313.15);
+      d.duration_s = rng.uniform(200.0, 500.0);
+      d.soe0 = rng.uniform(40.0, 100.0);
+    }
+    return out;
+  }();
+  return draws;
 }
 
-auto parallel_factory() {
-  return [](const core::SystemSpec& s) {
-    return std::make_unique<core::ParallelMethodology>(s);
-  };
+/// Run the fleet once at execution width `threads`: per mission the
+/// synthetic route, its power trace and a closed-loop parallel-baseline
+/// run through Simulator::run_with_sinks from a pack soaked to ambient.
+/// When `shared` is set, every mission also attaches a DiagnosticsSink
+/// writing into that one registry bundle. Returns the summed qloss.
+double run_fleet(const core::SystemSpec& base, size_t threads,
+                 const sim::DiagnosticsSink::Instruments* shared = nullptr) {
+  const std::vector<MissionDraw>& draws = missions();
+  std::vector<double> qloss(draws.size());
+  exec::parallel_for(
+      draws.size(),
+      [&](size_t m) {
+        const MissionDraw& d = draws[m];
+        core::SystemSpec s = base;
+        s.ambient_k = d.ambient_k;
+        const TimeSeries load = vehicle::Powertrain(s.vehicle).power_trace(
+            vehicle::generate_synthetic(d.route_seed, d.duration_s, 32.0));
+        sim::RunOptions ropt;
+        ropt.record_trace = false;
+        ropt.initial.t_battery_k = d.ambient_k;
+        ropt.initial.t_coolant_k = d.ambient_k;
+        ropt.initial.soe_percent = d.soe0;
+        sim::MetricsAccumulator metrics;
+        std::optional<sim::DiagnosticsSink> diagnostics;
+        std::vector<sim::StepSink*> sinks{&metrics};
+        if (shared) sinks.push_back(&diagnostics.emplace(*shared));
+        core::ParallelMethodology methodology(s);
+        sim::Simulator(s).run_with_sinks(methodology, load, ropt, sinks);
+        qloss[m] = metrics.take().qloss_percent;
+      },
+      threads);
+  double sum = 0.0;
+  for (double q : qloss) sum += q;
+  return sum;
 }
 
-/// evaluate_fleet at a given execution width. threads=1 is the serial
+/// The fleet at a given execution width. threads=1 is the serial
 /// fallback path (no pool, no locks); results are bit-identical across
 /// widths by construction (pre-drawn mission conditions).
 void BM_FleetEvaluate(benchmark::State& state) {
   const size_t threads = static_cast<size_t>(state.range(0));
   const core::SystemSpec base = spec();
-  const sim::FleetOptions options = fleet_options(threads);
-  for (auto _ : state) {
-    const sim::FleetResult r =
-        sim::evaluate_fleet(base, parallel_factory(), options);
-    benchmark::DoNotOptimize(r.qloss_percent.mean);
-  }
+  for (auto _ : state) benchmark::DoNotOptimize(run_fleet(base, threads));
   state.counters["threads"] = static_cast<double>(threads);
 }
 BENCHMARK(BM_FleetEvaluate)
@@ -70,22 +117,18 @@ BENCHMARK(BM_FleetEvaluate)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-/// The same fleet with the instrumentation layer fully attached: a
-/// shared fleet-aggregate MetricsRegistry written concurrently by all
-/// missions (DiagnosticsSink per mission), step-loop timing on. CI
-/// compares this against BM_FleetEvaluate at the same thread count and
-/// fails when the overhead exceeds 5 %.
+/// The same fleet with the instrumentation layer fully attached: one
+/// MetricsRegistry written concurrently by all missions (a
+/// DiagnosticsSink per mission), step-loop timing on. CI compares this
+/// against BM_FleetEvaluate at the same thread count and fails when the
+/// overhead exceeds 5 %.
 void BM_FleetEvaluateMetrics(benchmark::State& state) {
   const size_t threads = static_cast<size_t>(state.range(0));
   const core::SystemSpec base = spec();
   obs::MetricsRegistry registry;
-  sim::FleetOptions options = fleet_options(threads);
-  options.metrics = &registry;
-  for (auto _ : state) {
-    const sim::FleetResult r =
-        sim::evaluate_fleet(base, parallel_factory(), options);
-    benchmark::DoNotOptimize(r.qloss_percent.mean);
-  }
+  const sim::DiagnosticsSink::Instruments shared(registry, "fleet.");
+  for (auto _ : state)
+    benchmark::DoNotOptimize(run_fleet(base, threads, &shared));
   state.counters["threads"] = static_cast<double>(threads);
   state.counters["steps_instrumented"] = static_cast<double>(
       registry.snapshot().counters.at("fleet.sim.steps"));
@@ -99,23 +142,19 @@ BENCHMARK(BM_FleetEvaluateMetrics)
     ->UseRealTime();
 
 /// The same fleet with the span tracer live on top of the metrics
-/// layer: every mission records fleet.mission / sim.run / sim.step
-/// spans into its thread's flight-recorder ring. CI compares this
-/// against BM_FleetEvaluate at the same thread count under the same
-/// <5 % budget (bench/check_overhead.py) — the cost of leaving the
-/// tracer ENABLED, not just compiled in.
+/// layer: every mission records sim.run / sim.step spans into its
+/// thread's flight-recorder ring. CI compares this against
+/// BM_FleetEvaluate at the same thread count under the same <5 % budget
+/// (bench/check_overhead.py) — the cost of leaving the tracer ENABLED,
+/// not just compiled in.
 void BM_FleetEvaluateTraced(benchmark::State& state) {
   const size_t threads = static_cast<size_t>(state.range(0));
   const core::SystemSpec base = spec();
   obs::MetricsRegistry registry;
-  sim::FleetOptions options = fleet_options(threads);
-  options.metrics = &registry;
+  const sim::DiagnosticsSink::Instruments shared(registry, "fleet.");
   obs::set_trace_enabled(true);
-  for (auto _ : state) {
-    const sim::FleetResult r =
-        sim::evaluate_fleet(base, parallel_factory(), options);
-    benchmark::DoNotOptimize(r.qloss_percent.mean);
-  }
+  for (auto _ : state)
+    benchmark::DoNotOptimize(run_fleet(base, threads, &shared));
   obs::set_trace_enabled(false);
   state.counters["threads"] = static_cast<double>(threads);
   state.counters["spans_in_rings"] =
@@ -127,34 +166,6 @@ BENCHMARK(BM_FleetEvaluateTraced)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-/// The batched counterpart: each worker owns one PlantBatch stepping
-/// `lanes` missions in lockstep through the SoA plant kernels. Results
-/// are bit-identical to BM_FleetEvaluate's (tests/test_plant_batch.cpp
-/// pins that); this measures the throughput the lockstep layout buys.
-void BM_FleetEvaluateBatch(benchmark::State& state) {
-  const size_t threads = static_cast<size_t>(state.range(0));
-  const size_t lanes = static_cast<size_t>(state.range(1));
-  const core::SystemSpec base = spec();
-  sim::FleetOptions options = fleet_options(threads);
-  options.batch_lanes = lanes;
-  const auto factory = [](const core::SystemSpec& s, size_t n) {
-    return core::make_batch_methodology("parallel", s, n);
-  };
-  for (auto _ : state) {
-    const sim::FleetResult r =
-        sim::evaluate_fleet_batched(base, factory, options);
-    benchmark::DoNotOptimize(r.qloss_percent.mean);
-  }
-  state.counters["threads"] = static_cast<double>(threads);
-  state.counters["lanes"] = static_cast<double>(lanes);
-}
-BENCHMARK(BM_FleetEvaluateBatch)
-    ->Args({1, 16})
-    ->Args({2, 8})
-    ->Args({4, 4})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

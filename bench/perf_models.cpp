@@ -4,20 +4,11 @@
 // budget that lets the MPC run thousands of rollouts per plant step.
 #include <benchmark/benchmark.h>
 
-#include <cstdint>
-#include <memory>
-#include <vector>
-
 #include "battery/aging.h"
 #include "battery/battery_model.h"
-#include "core/batch_methodology.h"
-#include "core/parallel_methodology.h"
 #include "core/system_spec.h"
 #include "hees/hybrid_arch.h"
 #include "hees/parallel_arch.h"
-#include "sim/plant_batch.h"
-#include "sim/simulator.h"
-#include "sim/step_sink.h"
 #include "thermal/cooling_system.h"
 #include "ultracap/ultracap_model.h"
 #include "vehicle/drive_cycle.h"
@@ -115,87 +106,6 @@ void BM_HybridArchStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HybridArchStep);
-
-// --- plant stepping: scalar oracle vs SoA batch -------------------------
-// The same 64 short synthetic missions, stepped either one at a time
-// through the scalar Simulator loop or in lockstep through a PlantBatch
-// at increasing lane widths. items/s = mission-steps/s in both, so the
-// two families are directly comparable; bench/check_batch.py gates
-// batched >= 1.5x scalar on a single thread.
-
-struct PlantWorkload {
-  std::vector<sim::BatchMission> missions;
-  size_t total_steps = 0;
-};
-
-PlantWorkload& plant_workload() {
-  static PlantWorkload w = [] {
-    PlantWorkload out;
-    const core::SystemSpec& base = spec();
-    for (std::uint64_t m = 0; m < 64; ++m) {
-      sim::BatchMission mission;
-      mission.spec = base;
-      mission.spec.ambient_k = 286.0 + static_cast<double>(m % 16);
-      const TimeSeries speed =
-          vehicle::generate_synthetic(1000 + m, 240.0, 30.0);
-      mission.load =
-          vehicle::Powertrain(mission.spec.vehicle).power_trace(speed);
-      mission.initial.t_battery_k = mission.spec.ambient_k;
-      mission.initial.t_coolant_k = mission.spec.ambient_k;
-      mission.initial.soe_percent = 50.0 + static_cast<double>(m % 8) * 6.0;
-      out.total_steps += mission.load.size();
-      out.missions.push_back(std::move(mission));
-    }
-    return out;
-  }();
-  return w;
-}
-
-void BM_PlantScalarStep(benchmark::State& state) {
-  PlantWorkload& w = plant_workload();
-  std::int64_t steps = 0;
-  for (auto _ : state) {
-    for (sim::BatchMission& m : w.missions) {
-      core::ParallelMethodology methodology(m.spec);
-      sim::RunOptions ropt;
-      ropt.record_trace = false;
-      ropt.initial = m.initial;
-      sim::MetricsAccumulator metrics;
-      std::vector<sim::StepSink*> sinks{&metrics};
-      sim::Simulator(m.spec).run_with_sinks(methodology, m.load, ropt,
-                                            sinks);
-      benchmark::DoNotOptimize(metrics.take().qloss_percent);
-    }
-    steps += static_cast<std::int64_t>(w.total_steps);
-  }
-  state.SetItemsProcessed(steps);  // items/s = mission-steps/s
-}
-BENCHMARK(BM_PlantScalarStep)->Unit(benchmark::kMillisecond);
-
-void BM_PlantBatchStep(benchmark::State& state) {
-  const size_t lanes = static_cast<size_t>(state.range(0));
-  PlantWorkload& w = plant_workload();
-  std::vector<sim::MetricsAccumulator> metrics(w.missions.size());
-  for (size_t m = 0; m < w.missions.size(); ++m)
-    w.missions[m].sinks = {&metrics[m]};
-  sim::PlantBatch batch(
-      core::make_batch_methodology("parallel", spec(), lanes));
-  std::int64_t steps = 0;
-  for (auto _ : state) {
-    batch.run(w.missions);
-    benchmark::DoNotOptimize(metrics.front().take().qloss_percent);
-    steps += static_cast<std::int64_t>(w.total_steps);
-  }
-  state.SetItemsProcessed(steps);
-  state.counters["lanes"] = static_cast<double>(lanes);
-}
-BENCHMARK(BM_PlantBatchStep)
-    ->Arg(1)
-    ->Arg(8)
-    ->Arg(16)
-    ->Arg(32)
-    ->Arg(64)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_GenerateCycle(benchmark::State& state) {
   for (auto _ : state) {

@@ -18,28 +18,29 @@
 #
 # Protocol: every benchmark runs 5 repetitions, so each file carries
 # per-repetition rows plus mean / median / stddev / cv aggregates; the
-# check_*.py gates read the median and print the CV (checklib.py). The
-# script refuses to start while the 1-minute load average exceeds
-# nproc/2 — numbers measured on a busy machine are not a baseline, and
-# there is no flag to override that.
+# check_*.py gates read the median and print the CV (checklib.py).
+# perf_fleet's repetitions are randomly interleaved, as in CI, so the
+# bare and instrumented fleets see the same machine drift and
+# check_overhead.py's minimum-over-repetitions ratio compares like
+# with like. The script refuses to start while the 1-minute load
+# average exceeds nproc/2 — numbers measured on a busy machine are not
+# a baseline, and there is no flag to override that.
 #
 # BENCH_fleet.json (perf_fleet):
-#   - BM_FleetEvaluate/N        fleet wall-clock at N threads (N=1 serial)
+#   - BM_FleetEvaluate/N        16 seeded missions through
+#                               exec::parallel_for over
+#                               Simulator::run_with_sinks at N threads
+#                               (N=1 serial)
 #   - BM_FleetEvaluateMetrics/N the same fleet with a metrics registry
 #                               attached (instrumentation overhead)
 #   - BM_FleetEvaluateTraced/N  metrics + the span tracer enabled (the
 #                               tracing-on overhead check_overhead.py
 #                               also holds to the < 5% budget)
-#   - BM_FleetEvaluateBatch/N/L the SoA batched fleet path at N threads
-#                               with L-lane PlantBatches per worker
 #   - BM_ObsCounterAdd etc.     obs primitive micro-costs, including
 #                               BM_ObsSketchRecord and the
 #                               BM_TraceSpan{Enabled,Disabled} pair
 #   - BM_QpSolveCold/h          one-shot QP solves, items/s = ADMM iter/s
 #   - BM_QpSolveWarm/h          persistent-workspace QP solves
-# (perf_models carries BM_PlantScalarStep / BM_PlantBatchStep/L, the
-# single-thread mission-steps/s pair bench/check_batch.py gates on in
-# CI; it is not part of the committed baselines.)
 # BENCH_solver.json (perf_solver):
 #   - BM_MpcForward[Backward]/h rollout + adjoint micro-costs
 #   - BM_OtemSolve/h            full augmented-Lagrangian control steps
@@ -66,8 +67,7 @@
 #   python3 bench/check_overhead.py BENCH_fleet.json     (< 5% overhead)
 #   python3 bench/check_warm_start.py BENCH_solver.json  (>= 25% fewer iters)
 #   python3 bench/check_banded.py BENCH_solver.json      (O(H) block ops)
-#   python3 bench/check_batch.py <perf_models json>      (>= 1.5x scalar)
-#   python3 bench/check_vectorization.py <build log>     (lane loops SIMD)
+#   python3 bench/check_vectorization.py <build log>     (power_lanes SIMD)
 set -euo pipefail
 
 ALLOW_DEBUG=0
@@ -114,6 +114,7 @@ fi
   --benchmark_out=BENCH_fleet.json \
   --benchmark_out_format=json \
   --benchmark_repetitions=5 \
+  --benchmark_enable_random_interleaving=true \
   --benchmark_min_time=0.5
 
 echo "wrote BENCH_fleet.json"

@@ -20,8 +20,8 @@ double CapacityFadeModel::loss_rate_percent_per_s(
   const double c_rate = cell_discharge_current_a / cell_.capacity_ah;
   const double arrhenius = cellmath::fade_arrhenius(cell_, temp_k);
   // pow(x, 1) == x exactly (IEEE 754), so the l3 == 1 shortcut is
-  // bit-identical — and it is what lets the batched lane kernel stay
-  // branch-free at the default fade exponent.
+  // bit-identical and skips the libm call at the default fade exponent
+  // (parallel_substep mirrors it).
   const double powed =
       cell_.l3 == 1.0 ? c_rate : std::pow(c_rate, cell_.l3);
   return cell_.l1 * arrhenius * powed;

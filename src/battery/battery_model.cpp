@@ -126,16 +126,6 @@ double PackModel::soc_rate(double i) const {
   return -100.0 * i / (capacity_ah() * 3600.0);
 }
 
-void PackModel::step_soc_lanes(double* soc_percent, const double* i_a,
-                               double dt, size_t n) const {
-  const double cap_as = capacity_ah() * 3600.0;
-  double* __restrict__ soc = soc_percent;
-  const double* __restrict__ i = i_a;
-  for (size_t l = 0; l < n; ++l) {
-    soc[l] = std::clamp(soc[l] + (-100.0 * i[l] / cap_as) * dt, 0.0, 100.0);
-  }
-}
-
 PackModel::EnergySplit PackModel::energy_for_step(double soc_percent,
                                                   double temp_k, double i,
                                                   double dt) const {

@@ -10,8 +10,6 @@
 // leaving the pack) and negative on charge/regen.
 #pragma once
 
-#include <cstddef>
-
 #include "battery/params.h"
 
 namespace otem::battery {
@@ -82,12 +80,6 @@ class PackModel {
   /// New SoC [percent] after drawing pack current i for dt seconds,
   /// Eq. (1); clamps to [0, 100].
   double step_soc(double soc_percent, double i, double dt) const;
-
-  /// Batched step_soc over n lanes, in place. Same expression and
-  /// association order as the scalar path (the capacity product is a
-  /// loop invariant either way), so results are bit-identical.
-  void step_soc_lanes(double* soc_percent, const double* i_a, double dt,
-                      size_t n) const;
 
   /// SoC delta [percent] corresponding to pack current i over dt (no
   /// clamping) — used by the MPC predictor where clamping is handled by

@@ -1,13 +1,13 @@
 // cell_math.h — inline per-cell electrical/ageing kernels shared by the
-// scalar model entry points (PackModel, CapacityFadeModel) and the SoA
-// batched plant kernels.
+// model entry points (PackModel, CapacityFadeModel) and the
+// permanently-parallel substep (hees/parallel_arch.cpp).
 //
-// Both paths MUST evaluate the same expressions in the same association
-// order: the batched fleet's bit-identity to the scalar oracle
-// (tests/test_plant_batch.cpp) depends on it. That is why these live in
-// one header instead of being re-derived at each call site, and why
-// they use fastmath::exp — the one exp implementation both the scalar
-// and the vectorized lane loops share (see common/fast_math.h).
+// Every caller evaluates the same expressions in the same association
+// order, so a model query and a plant step agree to the bit. That is
+// why these live in one header instead of being re-derived at each
+// call site, and why they use fastmath::exp (see common/fast_math.h):
+// the plant's reactive reports are compared bit for bit against
+// recorded references.
 #pragma once
 
 #include <algorithm>

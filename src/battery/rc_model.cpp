@@ -42,20 +42,6 @@ double TransientPackModel::step_v1(double v1, double i, double dt) const {
   return v1 * decay + r1_pack() * i * (1.0 - decay);
 }
 
-void TransientPackModel::step_v1_lanes(double* v1, const double* i_a,
-                                       double dt, size_t n) const {
-  OTEM_REQUIRE(dt >= 0.0, "dt must be non-negative");
-  const double tau = r1_pack() * c1_pack();
-  const double decay = std::exp(-dt / tau);
-  const double r1 = r1_pack();
-  const double omd = 1.0 - decay;
-  double* __restrict__ v = v1;
-  const double* __restrict__ i = i_a;
-  for (size_t l = 0; l < n; ++l) {
-    v[l] = v[l] * decay + r1 * i[l] * omd;
-  }
-}
-
 PowerSolve TransientPackModel::current_for_power(double soc_percent,
                                                  double temp_k, double v1,
                                                  double power_w) const {

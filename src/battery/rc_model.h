@@ -55,13 +55,6 @@ class TransientPackModel {
   /// v1 -> v1 e^{-dt/tau} + R1 i (1 - e^{-dt/tau}).
   double step_v1(double v1, double i, double dt) const;
 
-  /// Batched step_v1 over n lanes, in place. The decay factor depends
-  /// only on dt and params, so the exp() is hoisted and the lane loop
-  /// is a pure multiply-add sweep; per-lane association order matches
-  /// the scalar path, so results are bit-identical.
-  void step_v1_lanes(double* v1, const double* i_a, double dt,
-                     size_t n) const;
-
   /// Steady-state polarisation voltage at sustained current i.
   double v1_steady(double i) const { return r1_pack() * i; }
 

@@ -52,8 +52,7 @@ struct ScenarioResult {
 };
 
 /// One-pass Welford mean/variance with exact running sum and extrema.
-/// Deterministic for a fixed fold order; stddev is the population form
-/// (matches sim::FleetStats).
+/// Deterministic for a fixed fold order; stddev is the population form.
 class Welford {
  public:
   void add(double v);

@@ -16,6 +16,7 @@
 #include "campaign/checkpoint.h"
 #include "common/error.h"
 #include "common/strings.h"
+#include "exec/thread_pool.h"
 #include "serve/protocol.h"
 #include "sim/scenario.h"
 
@@ -44,7 +45,8 @@ const std::string& group_of(const Grid& grid, std::uint64_t index) {
 /// happens to perform it.
 class Committer {
  public:
-  Committer(const Grid& grid, const CampaignOptions& options,
+  /// `width` is the campaign's resolved worker count (never 0).
+  Committer(const Grid& grid, const CampaignOptions& options, size_t width,
             CampaignAccumulator acc, std::uint64_t watermark,
             std::map<std::uint64_t, ScenarioResult> pending,
             std::uint64_t total)
@@ -54,11 +56,8 @@ class Committer {
         watermark_(watermark),
         pending_(std::move(pending)),
         total_(total) {
-    const size_t threads = options.threads > 0
-                               ? options.threads
-                               : std::thread::hardware_concurrency();
-    capacity_ = options.max_pending > 0 ? options.max_pending
-                                        : 4 * (threads > 0 ? threads : 1) + 16;
+    capacity_ =
+        options.max_pending > 0 ? options.max_pending : 4 * width + 16;
     last_checkpoint_ = watermark_;
     // A restored checkpoint may carry a foldable prefix (defensively —
     // writers fold eagerly, so this is normally a no-op).
@@ -378,7 +377,11 @@ CampaignOutcome run_campaign(const Grid& grid,
   }
   const std::uint64_t restored_watermark = watermark;
 
-  Committer committer(grid, options, std::move(acc), watermark,
+  // The one width rule (docs/THREADING.md): explicit value, then
+  // OTEM_THREADS, then hardware concurrency.
+  const size_t width =
+      options.threads > 0 ? options.threads : exec::default_concurrency();
+  Committer committer(grid, options, width, std::move(acc), watermark,
                       std::move(restored_pending), total);
 
   std::vector<std::pair<std::string, std::string>> base_pairs =
@@ -400,9 +403,7 @@ CampaignOutcome run_campaign(const Grid& grid,
         base_pairs.end());
   }
 
-  size_t threads =
-      options.threads > 0 ? options.threads : std::thread::hardware_concurrency();
-  if (threads == 0) threads = 1;
+  size_t threads = width;
   if (total > 0 && threads > total) threads = static_cast<size_t>(total);
 
   std::atomic<std::uint64_t> next{restored_watermark};

@@ -48,7 +48,8 @@ namespace otem::campaign {
 inline constexpr const char* kSummarySchema = "otem.campaign.v1";
 
 struct CampaignOptions {
-  /// Worker threads; 0 = hardware concurrency.
+  /// Worker threads; 0 = exec::default_concurrency() (OTEM_THREADS,
+  /// else hardware concurrency).
   size_t threads = 0;
 
   /// When non-empty, write the summary line here on completion.

@@ -1,16 +1,15 @@
-// fast_math.h — branch-free transcendentals for SIMD lane kernels.
+// fast_math.h — a deterministic, branch-free exp for the plant models.
 //
 // The plant's electro-chemical models are exp-bound: open-circuit
-// voltage, the two Arrhenius factors (resistance, capacity fade) and
-// the RC decay all call exp every step. libm's exp is scalar-only
-// (glibc's vectorized libmvec variant is NOT bit-identical to it, so
-// auto-vectorizing a loop around std::exp would change results), which
-// caps a structure-of-arrays lane loop at scalar speed. This header
-// provides one deterministic exp used by BOTH the scalar oracle path
-// and the batched lane kernels: pure arithmetic, no tables, no
-// branches on the value path, so the compiler can vectorize a lane
-// loop around it while every lane still computes exactly the value the
-// scalar call computes.
+// voltage, the 25 C resistance and the two Arrhenius factors
+// (resistance, capacity fade) all call exp every step. This header
+// provides the one exp they use: pure arithmetic, no tables, no
+// branches on the value path, every operation exactly specified by
+// IEEE 754 — so its value depends neither on the libm the binary links
+// nor on whether the compiler vectorizes a loop around it. The plant's
+// bits rest on it: reactive reports (and the perfbench references they
+// are compared against bit for bit) were produced with this exp, so
+// swapping in std::exp would move them.
 //
 // Accuracy: ~2 ulp over the clamped range (degree-13 Taylor on
 // |r| <= ln2/2 after 2^k range reduction). NOT a drop-in for std::exp
@@ -25,9 +24,9 @@
 
 namespace otem::fastmath {
 
-/// Deterministic, auto-vectorizable exp(x). Identical on the scalar and
-/// SIMD paths because every operation (mul/add/div and the int<->double
-/// bit casts) is exactly specified by IEEE 754.
+/// Deterministic exp(x): every operation (mul/add/div and the
+/// int<->double bit casts) is exactly specified by IEEE 754, so every
+/// build computes the same value.
 inline double exp(double x) {
   // Clamp to the range where the 2^k scale stays a normal double.
   x = x < -708.0 ? -708.0 : x;

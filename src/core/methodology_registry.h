@@ -4,8 +4,8 @@
 // Every runner used to hand-construct its controllers (at one point 17
 // binaries included the methodology headers directly); the registry
 // makes "which strategy" a plain string resolved at run time, so the
-// CLI, the scenario engine, the benches and the fleet harness all share
-// one construction path. A factory receives the SystemSpec it must
+// CLI, the scenario engine, the benches and the campaign engine all
+// share one construction path. A factory receives the SystemSpec it must
 // control plus the experiment Config, from which it reads its own
 // parameter namespace ("otem.*", "dual.*", "cooling.*", "forecast").
 //

@@ -1,7 +1,7 @@
 // thread_pool.h — execution subsystem: a work-stealing-free, index-batch
-// thread pool for the embarrassingly-parallel layers (fleet evaluation,
-// parameter sweeps, bench grids), plus a submit() side door for
-// independent long-lived tasks (the serve daemon's request dispatch).
+// thread pool for the embarrassingly-parallel layers (parameter sweeps,
+// bench grids), plus a submit() side door for independent long-lived
+// tasks (the serve daemon's request dispatch).
 //
 // Design constraints, in order:
 //   1. Determinism — the pool never owns random state and never decides

@@ -160,21 +160,4 @@ ArchStep DualArchitecture::ultracap_only_step(double soc, double soe,
   return out;
 }
 
-void DualArchitecture::step_lanes(const double* soc_percent,
-                                  const double* soe_percent,
-                                  const double* t_battery_k,
-                                  const double* p_load_w,
-                                  const DualMode* mode, double dt,
-                                  ArchStep* out, size_t n,
-                                  const unsigned char* active) const {
-  for (size_t l = 0; l < n; ++l) {
-    if (active && !active[l]) {
-      out[l] = ArchStep{};
-      continue;
-    }
-    out[l] = step(soc_percent[l], soe_percent[l], t_battery_k[l],
-                  p_load_w[l], mode[l], dt);
-  }
-}
-
 }  // namespace otem::hees

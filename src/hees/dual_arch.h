@@ -56,15 +56,6 @@ class DualArchitecture {
   ArchStep step(double soc_percent, double soe_percent, double t_battery_k,
                 double p_load_w, DualMode mode, double dt) const;
 
-  /// Batched step over n lanes with a per-lane switch mode. Lanes where
-  /// `active[l]` is 0 are skipped and get a default ArchStep (active ==
-  /// nullptr means all lanes live). Per lane this calls step(), so
-  /// results are bit-identical to the scalar path.
-  void step_lanes(const double* soc_percent, const double* soe_percent,
-                  const double* t_battery_k, const double* p_load_w,
-                  const DualMode* mode, double dt, ArchStep* out, size_t n,
-                  const unsigned char* active = nullptr) const;
-
  private:
   ArchStep battery_only_step(double soc, double soe, double tb, double p_load,
                              double dt) const;

@@ -10,8 +10,8 @@ namespace otem::hees {
 namespace {
 
 // Loop-invariant parameters of one architecture, gathered once per
-// step()/step_lanes() call so the substep kernel below is pure
-// arithmetic on doubles.
+// step() call so the substep kernel below is pure arithmetic on
+// doubles.
 struct SubstepCtx {
   const battery::CellParams* cell;
   double series;          ///< pack series count
@@ -38,23 +38,14 @@ struct SubstepOut {
 };
 
 // One electro-chemical substep of the permanently-parallel HEES
-// circuit, shared by the scalar step() loop and the SoA lane sweep in
-// step_lanes(). Branch-free on the value path — every decision is a
-// select — so the compiler can vectorize a lane loop around it, while
-// the scalar path inlines the exact same expressions in the same
-// association order. That sharing is what makes the batched plant
-// bit-identical to the scalar oracle (tests/test_plant_batch.cpp).
+// circuit. Branch-free on the value path — every decision is a select
+// on values computed unconditionally. The expressions and their
+// association order define the plant's bits: every reactive report,
+// and the perfbench references compared bit for bit, depend on them.
 //
 // `rb` must be the pack resistance at (soc, t_battery_k); the kernel
 // returns the resistance at soc_next so callers chain substeps without
 // recomputing it (the heat term needs it anyway).
-//
-// kAssumeUnitFade elides the std::pow fallback for the fade exponent —
-// a libm call the if-converter cannot mask away, which would otherwise
-// keep the lane sweep scalar. Callers may only instantiate it as true
-// after checking l3 == 1.0, where pow(x, 1) == x exactly (IEEE 754)
-// makes the two instantiations bit-identical.
-template <bool kAssumeUnitFade>
 inline SubstepOut parallel_substep(const SubstepCtx& x, double arr_r,
                                    double arr_fade, double soc, double soe,
                                    double rb, double t_battery_k,
@@ -64,10 +55,7 @@ inline SubstepOut parallel_substep(const SubstepCtx& x, double arr_r,
 
   // Every parameter a conditional arm touches is loaded into a local
   // up front, and every FP expression is computed unconditionally with
-  // the ternaries reduced to pure value selects. GCC's if-converter
-  // refuses to speculate loads or divisions that only execute on one
-  // side of a branch ("tree could trap"), and one such statement is
-  // enough to keep the whole lane sweep scalar.
+  // the ternaries reduced to pure value selects.
   const double series = x.series;
   const double strings = x.strings;
   const double r_c = x.r_c;
@@ -92,7 +80,7 @@ inline SubstepOut parallel_substep(const SubstepCtx& x, double arr_r,
   const double disc = s * s - 4.0 * g * p_load_w;
   // disc < 0: peak-power clamp. Delivered power at the clamp is
   // s^2/(4g); the rest is unmet. The max() keeps the untaken sqrt arm
-  // NaN-free so the select stays value-safe under vectorization.
+  // NaN-free so the select stays value-safe.
   const bool clamped = disc < 0.0;
   const double root = std::sqrt(std::max(disc, 0.0));
   const double v_peak = s / (2.0 * g);
@@ -130,13 +118,11 @@ inline SubstepOut parallel_substep(const SubstepCtx& x, double arr_r,
   o.q_heat_h = (joule + entropic) * h;
   // Capacity fade (Eq. 5) on the discharging half-cycles. Mirrors
   // CapacityFadeModel::loss_rate_percent_per_s including the
-  // pow(x, 1) == x shortcut (exact per IEEE 754) that keeps the lane
-  // loop free of libm calls at the default fade exponent.
+  // pow(x, 1) == x shortcut (exact per IEEE 754) that skips the libm
+  // call at the default fade exponent.
   const double cell_i = std::max(i_b, 0.0) / strings;
   const double c_rate = cell_i / cap_ah;
-  const double powed = kAssumeUnitFade
-                           ? c_rate
-                           : (c.l3 == 1.0 ? c_rate : std::pow(c_rate, c.l3));
+  const double powed = c.l3 == 1.0 ? c_rate : std::pow(c_rate, c.l3);
   const double rate_full = l1 * arr_fade * powed;
   const double rate = cell_i <= 0.0 ? 0.0 : rate_full;
   o.qloss_h = rate * h;
@@ -208,8 +194,8 @@ ArchStep ParallelArchitecture::step(double soc_percent, double soe_percent,
   double soe = soe_percent;
 
   for (int k = 0; k < substeps; ++k) {
-    const SubstepOut r = parallel_substep<false>(
-        x, arr_r, arr_fade, soc, soe, rb, t_battery_k, p_load_w, h, dt);
+    const SubstepOut r = parallel_substep(x, arr_r, arr_fade, soc, soe, rb,
+                                          t_battery_k, p_load_w, h, dt);
     soc = r.soc_next;
     soe = r.soe_next;
     rb = r.rb_next;
@@ -230,116 +216,6 @@ ArchStep ParallelArchitecture::step(double soc_percent, double soe_percent,
   out.i_bat_a = i_bat_accum / dt;
   out.i_cap_a = i_cap_accum / dt;
   return out;
-}
-
-void ParallelArchitecture::step_lanes(const double* soc_percent,
-                                      const double* soe_percent,
-                                      const double* t_battery_k,
-                                      const double* p_load_w, double dt,
-                                      ArchStep* out, size_t n,
-                                      const unsigned char* active) const {
-  OTEM_REQUIRE(dt > 0.0, "step duration must be positive");
-
-  const battery::CellParams& c = battery_.params().cell;
-  const SubstepCtx x{&c,
-                     static_cast<double>(battery_.params().series),
-                     static_cast<double>(battery_.params().parallel),
-                     r_c_,
-                     v_ref_,
-                     ultracap_.energy_capacity_j(),
-                     battery_.capacity_ah() * 3600.0};
-  const double c_eff = c_eff_;
-  // A non-unit fade exponent would need std::pow inside the sweep, so
-  // that (never-used-in-practice) configuration runs scalar per lane.
-  // Lanes that need more than one substep (dt > tau/5) likewise fall
-  // back to the scalar step(); at the plant's 1 s step tau is O(100 s)
-  // and the paper's l3 is 1, so in practice every lane takes the flat
-  // sweep below.
-  if (c.l3 != 1.0) {
-    for (size_t l = 0; l < n; ++l) {
-      if (active && !active[l]) {
-        out[l] = ArchStep{};
-        continue;
-      }
-      out[l] = step(soc_percent[l], soe_percent[l], t_battery_k[l],
-                    p_load_w[l], dt);
-    }
-    return;
-  }
-
-  constexpr size_t kChunk = 64;
-  double soc_n[kChunk], soe_n[kChunk], ib[kChunk], ic[kChunk];
-  double e_bat[kChunk], e_cap[kChunk], e_loss[kChunk], unmet[kChunk];
-  double qloss[kChunk], q_heat[kChunk], infeasible[kChunk], slow[kChunk];
-
-  for (size_t base = 0; base < n; base += kChunk) {
-    const size_t m = std::min(kChunk, n - base);
-    const double* __restrict__ soc_in = soc_percent + base;
-    const double* __restrict__ soe_in = soe_percent + base;
-    const double* __restrict__ t_in = t_battery_k + base;
-    const double* __restrict__ p_in = p_load_w + base;
-
-    // Pass 1 — the SIMD sweep. Every lane runs the full single-substep
-    // physics unconditionally (parked lanes compute on their stale
-    // state and the scatter pass discards those results; fastmath::exp
-    // clamps, so stale inputs stay non-trapping), keeping the loop
-    // free of data-dependent control flow so it vectorizes.
-    for (size_t l = 0; l < m; ++l) {
-      const double soc = soc_in[l];
-      const double soe = soe_in[l];
-      const double t = t_in[l];
-      const double p = p_in[l];
-      const double arr_r = battery::cellmath::r_arrhenius(c, t);
-      const double arr_fade = battery::cellmath::fade_arrhenius(c, t);
-      const double rb =
-          battery::cellmath::r25(c, soc) * arr_r * x.series / x.strings;
-      const double tau = std::max((rb + x.r_c) * c_eff, 1e-3);
-      slow[l] = dt <= tau / 5.0 ? 0.0 : 1.0;
-
-      const SubstepOut r = parallel_substep<true>(x, arr_r, arr_fade, soc,
-                                                  soe, rb, t, p, dt, dt);
-      soc_n[l] = r.soc_next;
-      soe_n[l] = r.soe_next;
-      ib[l] = r.i_b;
-      ic[l] = r.i_c;
-      e_bat[l] = r.e_bat_h;
-      e_cap[l] = r.e_cap_h;
-      e_loss[l] = r.e_loss_h;
-      unmet[l] = r.unmet_h;
-      qloss[l] = r.qloss_h;
-      q_heat[l] = r.q_heat_h;
-      infeasible[l] = r.infeasible;
-    }
-
-    // Pass 2 — scalar scatter into the AoS ArchStep outputs, mirroring
-    // the scalar loop's accumulate-from-zero order so every field is
-    // bit-identical to step() at one substep.
-    for (size_t l = 0; l < m; ++l) {
-      const size_t lane = base + l;
-      if (active && !active[lane]) {
-        out[lane] = ArchStep{};
-        continue;
-      }
-      if (slow[l] != 0.0) {
-        out[lane] = step(soc_in[l], soe_in[l], t_in[l], p_in[l], dt);
-        continue;
-      }
-      OTEM_REQUIRE(t_in[l] > 100.0, "battery temperature must be in kelvin");
-      ArchStep& o = out[lane];
-      o = ArchStep{};
-      o.soc_next = soc_n[l];
-      o.soe_next = soe_n[l];
-      o.e_bat_j += e_bat[l];
-      o.e_cap_j += e_cap[l];
-      o.e_loss_j += e_loss[l];
-      o.unmet_bus_w += unmet[l];
-      o.qloss_percent += qloss[l];
-      o.feasible = infeasible[l] == 0.0;
-      o.q_bat_w = (0.0 + q_heat[l]) / dt;
-      o.i_bat_a = (0.0 + ib[l] * dt) / dt;
-      o.i_cap_a = (0.0 + ic[l] * dt) / dt;
-    }
-  }
 }
 
 }  // namespace otem::hees

@@ -66,20 +66,6 @@ class ParallelArchitecture {
   ArchStep step(double soc_percent, double soe_percent, double t_battery_k,
                 double p_load_w, double dt) const;
 
-  /// Batched step over n lanes of contiguous state/load arrays. The
-  /// single-substep electro-chemical kernel (the only case at the 1 s
-  /// plant step — tau is O(100 s)) runs as a flat branch-free SoA sweep
-  /// built on fastmath::exp, so the compiler vectorizes it; because the
-  /// scalar step() inlines the exact same kernel, results stay
-  /// bit-identical to the scalar path. Lanes needing substeps or a
-  /// non-unit fade exponent fall back to step() per lane. Lanes where
-  /// `active[l]` is 0 are skipped and get a default ArchStep (active ==
-  /// nullptr means all lanes live).
-  void step_lanes(const double* soc_percent, const double* soe_percent,
-                  const double* t_battery_k, const double* p_load_w,
-                  double dt, ArchStep* out, size_t n,
-                  const unsigned char* active = nullptr) const;
-
  private:
   battery::PackModel battery_;
   ultracap::BankModel ultracap_;

@@ -4,10 +4,9 @@
 // distributions inside an obs::MetricsRegistry: solver iteration /
 // residual / latency histograms, step-loop timings, fallback and
 // convergence counters. It BORROWS the registry, so any number of
-// concurrent runs (fleet missions on the thread pool) can aggregate
-// into one registry — the sharded instruments make that safe — while a
-// second sink with a mission-local registry captures the per-mission
-// view.
+// concurrent runs (a serve daemon's requests) can aggregate into one
+// registry — the sharded instruments make that safe — while a second
+// sink with a mission-local registry captures the per-mission view.
 //
 // JsonlEventSink streams one structured event line per step (plus a
 // run_begin/run_end envelope) to disk through obs::JsonlWriter — O(1)
@@ -50,8 +49,8 @@ class DiagnosticsSink final : public StepSink {
   static constexpr size_t kTimingStride = 64;
 
   /// The resolved instrument references for one name prefix. Resolving
-  /// takes 21 mutex-guarded registry lookups — a fleet shares ONE
-  /// bundle across all its missions instead of resolving per mission.
+  /// takes 21 mutex-guarded registry lookups — the serve daemon shares
+  /// ONE bundle across all its runs instead of resolving per run.
   struct Instruments {
     explicit Instruments(obs::MetricsRegistry& registry,
                          const std::string& prefix = "");
@@ -80,11 +79,11 @@ class DiagnosticsSink final : public StepSink {
 
   /// Registers (or finds) the instruments in `registry` eagerly, so the
   /// record path is lock-free. `prefix` namespaces the metric names
-  /// ("fleet.", "otem.", ...).
+  /// ("otem.", ...).
   explicit DiagnosticsSink(obs::MetricsRegistry& registry,
                            const std::string& prefix = "")
       : instruments_(registry, prefix) {}
-  /// Shares a pre-resolved bundle (fleet missions).
+  /// Shares a pre-resolved bundle (serve runs).
   explicit DiagnosticsSink(const Instruments& instruments)
       : instruments_(instruments) {}
 

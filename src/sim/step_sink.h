@@ -9,9 +9,9 @@
 //                        energy breakdown, thermal safety), O(1) memory.
 //   TraceRecorder      — the in-RAM RunTrace (opt-in, O(steps) memory).
 //   CsvStreamSink      — per-step telemetry streamed straight to disk,
-//                        O(1) memory in mission length; what fleet runs
-//                        and multi-hour missions attach instead of an
-//                        in-RAM trace.
+//                        O(1) memory in mission length; what campaign
+//                        telemetry and multi-hour missions attach
+//                        instead of an in-RAM trace.
 //
 // Accumulation order in MetricsAccumulator matches the pre-sink
 // simulator exactly, so RunResult values are bit-identical to the old

@@ -1,14 +1,13 @@
 // stepper.h — the one owner of per-mission step accounting.
 //
 // Paper Algorithm 1 is one loop: solve, apply, advance the plant,
-// accumulate Qloss and energy. Simulator::run_with_sinks, each
-// PlantBatch lane and each serve::Session hand every finished plant
-// step to a Stepper, which validates and begins/ends the sinks, splits
-// them into every-step and eventful-only chains, folds their timing
-// strides, keeps the step index and running qloss, evaluates the TEB
-// only when a sink wants it, and builds and fans out the StepSample.
-// The three loops keep only what differs: the power source, the
-// clock, cancellation.
+// accumulate Qloss and energy. Simulator::run_with_sinks and each
+// serve::Session hand every finished plant step to a Stepper, which
+// validates and begins/ends the sinks, splits them into every-step and
+// eventful-only chains, folds their timing strides, keeps the step
+// index and running qloss, evaluates the TEB only when a sink wants
+// it, and builds and fans out the StepSample. The two loops keep only
+// what differs: the power source, the clock, cancellation.
 #pragma once
 
 #include <cstddef>
@@ -23,8 +22,7 @@ namespace otem::sim {
 
 class Stepper {
  public:
-  /// Unarmed until begin(). Re-arming reuses the chains' capacity, so a
-  /// PlantBatch lane steps allocation-free across missions.
+  /// Unarmed until begin().
   Stepper() = default;
   Stepper(const RunContext& ctx, const std::vector<StepSink*>& sinks) {
     begin(ctx, sinks);

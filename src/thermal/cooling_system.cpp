@@ -94,34 +94,10 @@ ThermalState CoolingSystem::step(const ThermalState& s, double q_bat_w,
   return out;
 }
 
-void CoolingSystem::step_lanes(const StepMatrix& m, double* t_battery_k,
-                               double* t_coolant_k, const double* q_bat_w,
-                               const double* t_inlet_k, size_t n) {
-  double* __restrict__ tb = t_battery_k;
-  double* __restrict__ tc = t_coolant_k;
-  const double* __restrict__ q = q_bat_w;
-  const double* __restrict__ ti = t_inlet_k;
-  for (size_t l = 0; l < n; ++l) {
-    apply_step(m, tb[l], tc[l], q[l], ti[l]);
-  }
-}
-
 double CoolingSystem::passive_inlet(double t_coolant_k,
                                     double t_ambient_k) const {
   return t_coolant_k -
          params_.passive_effectiveness * (t_coolant_k - t_ambient_k);
-}
-
-void CoolingSystem::passive_inlet_lanes(const double* t_coolant_k,
-                                        const double* t_ambient_k,
-                                        double* t_inlet_k, size_t n) const {
-  const double eps = params_.passive_effectiveness;
-  const double* __restrict__ tc = t_coolant_k;
-  const double* __restrict__ amb = t_ambient_k;
-  double* __restrict__ ti = t_inlet_k;
-  for (size_t l = 0; l < n; ++l) {
-    ti[l] = tc[l] - eps * (tc[l] - amb[l]);
-  }
 }
 
 double CoolingSystem::inlet_for_power(double t_coolant_k, double t_ambient_k,

@@ -12,8 +12,6 @@
 // Sign convention: positive power/current = discharge.
 #pragma once
 
-#include <cstddef>
-
 #include "common/config.h"
 
 namespace otem::ultracap {
@@ -69,12 +67,6 @@ class BankModel {
 
   /// New SoE after drawing power p for dt seconds; clamps to [0, 100].
   double step_soe(double soe_percent, double power_w, double dt) const;
-
-  /// Batched step_soe over n lanes, in place. Same expression and
-  /// association order as the scalar path (the energy capacity is a
-  /// loop invariant either way), so results are bit-identical.
-  void step_soe_lanes(double* soe_percent, const double* power_w, double dt,
-                      size_t n) const;
 
   /// Largest discharge power sustainable for dt without crossing the
   /// minimum-SoE floor (>= 0).

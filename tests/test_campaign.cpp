@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -22,6 +25,8 @@
 #include "common/strings.h"
 #include "core/system_spec.h"
 #include "obs/sketch.h"
+#include "obs/trace.h"
+#include "vehicle/drive_cycle.h"
 
 namespace otem {
 namespace {
@@ -339,6 +344,176 @@ TEST(CampaignRunner, SummaryDocumentShape) {
   EXPECT_EQ(file_text, outcome.summary_text);
   std::remove(out.c_str());
 }
+
+TEST(CampaignRunner, LtvSolverStateStaysIsolatedAcrossThreads) {
+  // otem-ltv carries warm starts and the banded KKT's stage workspace
+  // across steps INSIDE a mission; each scenario owns its controller,
+  // so execution width and repetition must not change a single byte.
+  campaign::Grid grid;
+  grid.methodologies = {"otem-ltv"};
+  grid.cycles.clear();
+  grid.synthetic_routes = 3;
+  grid.min_duration_s = 60.0;
+  grid.max_duration_s = 120.0;
+  grid.seed = 99;
+  Config cfg;
+  cfg.set("otem.horizon", "8");
+  cfg.set("ltv.kkt", "banded");
+  cfg.set("ltv.warm_start", "true");
+  const core::SystemSpec spec = core::SystemSpec::from_config(cfg);
+
+  campaign::CampaignOptions one;
+  one.threads = 1;
+  const std::string serial =
+      campaign::run_campaign(grid, spec, cfg, one).summary_text;
+  ASSERT_FALSE(serial.empty());
+
+  campaign::CampaignOptions four;
+  four.threads = 4;
+  EXPECT_EQ(campaign::run_campaign(grid, spec, cfg, four).summary_text,
+            serial);
+  // Repeat at the same width: solver state resets per scenario.
+  EXPECT_EQ(campaign::run_campaign(grid, spec, cfg, four).summary_text,
+            serial);
+}
+
+TEST(CampaignRunner, OtemBeatsParallelInDistribution) {
+  // The paper's ordering must hold on a paired random grid, not just
+  // the fixed schedules.
+  campaign::Grid grid;
+  grid.methodologies = {"parallel", "otem"};
+  grid.cycles.clear();
+  grid.synthetic_routes = 5;
+  grid.min_duration_s = 300.0;
+  grid.max_duration_s = 500.0;
+  grid.soe0_min = 40.0;
+  grid.soe0_max = 100.0;
+  grid.seed = 99;
+  Config cfg;
+  cfg.set("otem.horizon", "12");
+  cfg.set("otem.solver.adam_iterations", "60");
+  cfg.set("otem.solver.outer_iterations", "2");
+  const core::SystemSpec spec = core::SystemSpec::from_config(cfg);
+
+  campaign::CampaignOptions opt;
+  opt.threads = 2;
+  const Json summary = campaign::run_campaign(grid, spec, cfg, opt).summary;
+  ASSERT_TRUE(summary.is_object());
+  const Json* groups = summary.find("groups");
+  ASSERT_TRUE(groups != nullptr);
+  auto stat = [&](const char* method, const char* dim, const char* which) {
+    const Json* group = groups->find(method);
+    const Json* metrics = group ? group->find("metrics") : nullptr;
+    const Json* metric = metrics ? metrics->find(dim) : nullptr;
+    const Json* value = metric ? metric->find(which) : nullptr;
+    EXPECT_TRUE(value != nullptr) << method << " " << dim << " " << which;
+    return value != nullptr ? value->as_number() : 0.0;
+  };
+  EXPECT_LT(stat("otem", "qloss_percent", "mean"),
+            stat("parallel", "qloss_percent", "mean"));
+  EXPECT_LE(stat("otem", "thermal_violation_s", "sum"),
+            stat("parallel", "thermal_violation_s", "sum"));
+}
+
+TEST(CampaignRunner, TelemetryPrefixStreamsOneCsvPerScenario) {
+  // Every scenario writes <prefix><scenario-id>.csv with one row per
+  // step, while the summary stays byte-identical to a run without
+  // telemetry (the sink only observes; it never feeds back).
+  const campaign::Grid grid = small_grid();
+  const Config cfg;
+  const core::SystemSpec spec = core::SystemSpec::from_config(cfg);
+
+  campaign::CampaignOptions plain;
+  plain.threads = 2;
+  campaign::CampaignOptions streaming = plain;
+  const std::string prefix = temp_path("telemetry_");
+  streaming.telemetry_csv_prefix = prefix;
+
+  const std::string a =
+      campaign::run_campaign(grid, spec, cfg, plain).summary_text;
+  const std::string b =
+      campaign::run_campaign(grid, spec, cfg, streaming).summary_text;
+  ASSERT_FALSE(a.empty());
+  EXPECT_EQ(a, b);
+
+  for (size_t i = 0; i < grid.size(); ++i) {
+    const campaign::ScenarioSpec s = grid.at(i);
+    const std::string path = prefix + s.id + ".csv";
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << "missing telemetry file " << path;
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    EXPECT_EQ(line.rfind("t_s,p_load_w,", 0), 0u) << path;
+    size_t rows = 0;
+    while (std::getline(in, line)) ++rows;
+    // One row per simulated step: one per sample of the route.
+    const size_t steps =
+        vehicle::generate_synthetic(s.route_seed, s.duration_s,
+                                    s.max_speed_mps)
+            .size();
+    EXPECT_EQ(rows, steps) << path;
+    std::remove(path.c_str());
+  }
+}
+
+#ifndef OTEM_OBS_DISABLED
+/// Sets an environment variable for one scope and restores the old
+/// value (or its absence) on exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = std::string(old);
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_)
+      ::setenv(name_, old_->c_str(), 1);
+    else
+      ::unsetenv(name_);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+TEST(CampaignRunner, DefaultWidthHonoursOtemThreads) {
+  // threads = 0 resolves like every other width in the library:
+  // OTEM_THREADS before hardware concurrency. With OTEM_THREADS=1 every
+  // scenario must run on the one worker thread.
+  const campaign::Grid grid = small_grid();
+  ASSERT_EQ(grid.size(), 12u);
+  const Config cfg;
+  const core::SystemSpec spec = core::SystemSpec::from_config(cfg);
+
+  std::vector<obs::SpanRecord> spans;
+  {
+    const ScopedEnv env("OTEM_THREADS", "1");
+    obs::trace_reset();
+    obs::set_trace_enabled(true);
+    campaign::CampaignOptions opt;
+    opt.threads = 0;
+    const campaign::CampaignOutcome outcome =
+        campaign::run_campaign(grid, spec, cfg, opt);
+    obs::set_trace_enabled(false);
+    spans = obs::TraceCollector().collect();
+    obs::trace_reset();
+    ASSERT_EQ(outcome.scenarios_run, grid.size());
+  }
+
+  std::set<std::uint32_t> tids;
+  size_t runs = 0;
+  for (const obs::SpanRecord& span : spans) {
+    if (std::strcmp(span.name, "scenario.run") != 0) continue;
+    ++runs;
+    tids.insert(span.tid);
+  }
+  EXPECT_EQ(runs, grid.size());
+  EXPECT_EQ(tids.size(), 1u);
+}
+#endif  // OTEM_OBS_DISABLED
 
 }  // namespace
 }  // namespace otem

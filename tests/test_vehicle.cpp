@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <vector>
 
 #include "common/error.h"
 #include "vehicle/drive_cycle.h"
@@ -216,6 +217,24 @@ TEST(Powertrain, MotorPowerCapApplies) {
   EXPECT_LE(p, pt.params().max_motor_power_w /
                        pt.params().traction_efficiency +
                    pt.params().accessory_power_w + 1e-6);
+}
+
+TEST(Powertrain, PowerLanesBitIdenticalToPowerRequest) {
+  // power_trace runs every route through the vectorized power_lanes;
+  // each sample must equal the scalar power_request bit for bit, on
+  // both branch arms (drive and regen) and across the vector tail.
+  const Powertrain pt = default_powertrain();
+  constexpr size_t kSamples = 23;  // odd on purpose: exercises the tail
+  std::vector<double> v(kSamples), a(kSamples), p(kSamples);
+  for (size_t k = 0; k < kSamples; ++k) {
+    v[k] = 0.005 * static_cast<double>(k) +
+           (k % 3 == 0 ? 0.0 : 1.4 * static_cast<double>(k));
+    a[k] = -3.0 + 0.3 * static_cast<double>(k);
+  }
+  const double grade = 0.02;
+  pt.power_lanes(v.data(), a.data(), p.data(), kSamples, grade);
+  for (size_t k = 0; k < kSamples; ++k)
+    EXPECT_EQ(p[k], pt.power_request(v[k], a[k], grade)) << "sample " << k;
 }
 
 TEST(Powertrain, TraceHasSameShapeAsSpeed) {
