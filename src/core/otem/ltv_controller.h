@@ -112,6 +112,11 @@ class LtvOtemController final : public ControllerIface {
 
   SolveDiagnostics diagnostics() const override;
 
+  /// Terminal QP iterates of the most recent round: what the next round
+  /// (or, shifted, the next step) warm-starts from. Empty when
+  /// LtvOptions::warm_start is off.
+  const optim::QpWarmStart& last_qp_iterates() const { return qp_warm_; }
+
  private:
   MpcProblem problem_;
   LtvOptions options_;

@@ -29,6 +29,66 @@ bool same_kkt_rows(const LtvQpStage& a, const LtvQpStage& b) {
   return true;
 }
 
+// The per-stage row arithmetic. ax_into / aty_accumulate loop these over
+// the horizon; the ADMM iteration and the polish rounds call them one
+// stage at a time from inside their factor and substitution sweeps.
+// Either way every element sees the same operations in the same order.
+// They are declared inline so GCC folds them into the sweeps, where the
+// out-of-order core overlaps them with the divide chains (out of line
+// they cost ~10 % of a solve).
+
+/// Stage k's kLtvStageRows rows of A x into `o`. `xk` is stage k's
+/// [v_k, w_{k+1}], `xp` stage k-1's (null at k = 0, where w_0 = 0).
+inline void stage_ax(const LtvQpStage& s, const double* xk,
+                     const double* xp, double* o) {
+  o[0] = xk[0];
+  o[1] = xk[1];
+  for (size_t r = 0; r < kLtvStates; ++r) {
+    double v = s.ew[r] * xk[2 + r];
+    for (size_t j = 0; j < kLtvControls; ++j) v -= s.bv.m[r][j] * xk[j];
+    if (xp)
+      for (size_t mm = 0; mm < kLtvStates; ++mm)
+        v -= s.aw.m[r][mm] * xp[2 + mm];
+    o[2 + r] = v;
+    o[6 + r] = xk[2 + r];
+  }
+  double b = s.cv[0] * xk[0] + s.cv[1] * xk[1];
+  if (xp)
+    for (size_t mm = 0; mm < kLtvStates; ++mm) b += s.cw[mm] * xp[2 + mm];
+  o[10] = b;
+}
+
+/// Stage k's rows of A^T t added into y: `tk` holds the stage's
+/// kLtvStageRows row values, `yk` is block k of y and `yp` block k-1
+/// (null at k = 0). The rows reach block k-1's w_k entries only, so
+/// block k-1 is complete once stage k's rows are in.
+inline void stage_aty(const LtvQpStage& s, const double* tk, double* yk,
+                      double* yp) {
+  yk[0] += tk[0];
+  yk[1] += tk[1];
+  for (size_t r = 0; r < kLtvStates; ++r) {
+    const double te = tk[2 + r];
+    yk[2 + r] += s.ew[r] * te + tk[6 + r];
+    for (size_t j = 0; j < kLtvControls; ++j) yk[j] -= s.bv.m[r][j] * te;
+    if (yp)
+      for (size_t mm = 0; mm < kLtvStates; ++mm)
+        yp[2 + mm] -= s.aw.m[r][mm] * te;
+  }
+  const double tb = tk[10];
+  yk[0] += s.cv[0] * tb;
+  yk[1] += s.cv[1] * tb;
+  if (yp)
+    for (size_t mm = 0; mm < kLtvStates; ++mm) yp[2 + mm] += s.cw[mm] * tb;
+}
+
+/// Block k of a proximal right-hand side, sigma x_k - [q_k, 0] (states
+/// are costless).
+inline void stage_prox_rhs(const LtvQpStage& s, double sigma,
+                           const double* xk, double* r) {
+  for (size_t j = 0; j < kLtvControls; ++j) r[j] = sigma * xk[j] - s.q[j];
+  for (size_t rr = 0; rr < kLtvStates; ++rr) r[2 + rr] = sigma * xk[2 + rr];
+}
+
 }  // namespace
 
 QpProblem ltv_qp_to_dense(const LtvQpProblem& problem) {
@@ -139,59 +199,55 @@ void LtvQpSolver::assemble_kkt(const LtvQpProblem& problem, double sigma,
 
 void LtvQpSolver::assemble_kkt_weighted(const LtvQpProblem& problem,
                                         double sigma, const Vector& w,
-                                        size_t first) {
-  const size_t h = problem.horizon();
+                                        size_t k) {
   using Block = SmallMat<kLtvStageVars, kLtvStageVars>;
-  pol_diag_.resize(h);
-  pol_sub_.resize(h > 0 ? h - 1 : 0);
   // Same contributions as assemble_kkt, but every row brings its own
-  // weight (so the uniform-scale block kernels don't apply). Runs once
-  // per working-set round (22.5 per QP on average at the RTI point on
-  // the paper grid). Each block is built from zero, so re-assembling
-  // only blocks >= first yields the bits a full assembly would.
-  for (size_t k = first; k < h; ++k) {
-    const LtvQpStage& s = problem.stages[k];
-    const double* wk = w.data() + kLtvStageRows * k;
-    Block& d = pol_diag_[k];
-    d = Block{};
-    for (size_t j = 0; j < kLtvControls; ++j)
-      d.m[j][j] += s.p[j] + sigma + wk[j];
-    for (size_t r = 0; r < kLtvStates; ++r) {
-      const double we = wk[2 + r];
-      d.m[2 + r][2 + r] += sigma + wk[6 + r] + we * s.ew[r] * s.ew[r];
-      for (size_t j1 = 0; j1 < kLtvControls; ++j1) {
-        const double cross = -we * s.bv.m[r][j1] * s.ew[r];
-        d.m[j1][2 + r] += cross;
-        d.m[2 + r][j1] += cross;
-        for (size_t j2 = 0; j2 < kLtvControls; ++j2)
-          d.m[j1][j2] += we * s.bv.m[r][j1] * s.bv.m[r][j2];
-      }
-    }
-    for (size_t j1 = 0; j1 < kLtvControls; ++j1)
+  // weight, so each product is formed per row rather than by the
+  // uniform-scale block kernels. The block is built from zero, so a
+  // polish round that re-assembles only blocks >= its first edited
+  // block gets the bits a full assembly would.
+  const size_t h = problem.horizon();
+  const LtvQpStage& s = problem.stages[k];
+  const double* wk = w.data() + kLtvStageRows * k;
+  Block& d = pol_diag_[k];
+  d = Block{};
+  for (size_t j = 0; j < kLtvControls; ++j)
+    d.m[j][j] += s.p[j] + sigma + wk[j];
+  for (size_t r = 0; r < kLtvStates; ++r) {
+    const double we = wk[2 + r];
+    d.m[2 + r][2 + r] += sigma + wk[6 + r] + we * s.ew[r] * s.ew[r];
+    for (size_t j1 = 0; j1 < kLtvControls; ++j1) {
+      const double cross = -we * s.bv.m[r][j1] * s.ew[r];
+      d.m[j1][2 + r] += cross;
+      d.m[2 + r][j1] += cross;
       for (size_t j2 = 0; j2 < kLtvControls; ++j2)
-        d.m[j1][j2] += wk[10] * s.cv[j1] * s.cv[j2];
-    if (k + 1 < h) {
-      const LtvQpStage& nx = problem.stages[k + 1];
-      const double* wn = w.data() + kLtvStageRows * (k + 1);
-      Block& l = pol_sub_[k];
-      l = Block{};
-      for (size_t r = 0; r < kLtvStates; ++r) {
-        const double we = wn[2 + r];
-        for (size_t m1 = 0; m1 < kLtvStates; ++m1) {
-          for (size_t m2 = 0; m2 < kLtvStates; ++m2)
-            d.m[2 + m1][2 + m2] += we * nx.aw.m[r][m1] * nx.aw.m[r][m2];
-          l.m[2 + r][2 + m1] -= we * nx.ew[r] * nx.aw.m[r][m1];
-        }
-        for (size_t j = 0; j < kLtvControls; ++j)
-          for (size_t mm = 0; mm < kLtvStates; ++mm)
-            l.m[j][2 + mm] += we * nx.bv.m[r][j] * nx.aw.m[r][mm];
-      }
+        d.m[j1][j2] += we * s.bv.m[r][j1] * s.bv.m[r][j2];
+    }
+  }
+  for (size_t j1 = 0; j1 < kLtvControls; ++j1)
+    for (size_t j2 = 0; j2 < kLtvControls; ++j2)
+      d.m[j1][j2] += wk[10] * s.cv[j1] * s.cv[j2];
+  if (k + 1 < h) {
+    const LtvQpStage& nx = problem.stages[k + 1];
+    const double* wn = w.data() + kLtvStageRows * (k + 1);
+    Block& l = pol_sub_[k];
+    l = Block{};
+    for (size_t r = 0; r < kLtvStates; ++r) {
+      const double we = wn[2 + r];
       for (size_t m1 = 0; m1 < kLtvStates; ++m1) {
         for (size_t m2 = 0; m2 < kLtvStates; ++m2)
-          d.m[2 + m1][2 + m2] += wn[10] * nx.cw[m1] * nx.cw[m2];
-        for (size_t j = 0; j < kLtvControls; ++j)
-          l.m[j][2 + m1] += wn[10] * nx.cv[j] * nx.cw[m1];
+          d.m[2 + m1][2 + m2] += we * nx.aw.m[r][m1] * nx.aw.m[r][m2];
+        l.m[2 + r][2 + m1] -= we * nx.ew[r] * nx.aw.m[r][m1];
       }
+      for (size_t j = 0; j < kLtvControls; ++j)
+        for (size_t mm = 0; mm < kLtvStates; ++mm)
+          l.m[j][2 + mm] += we * nx.bv.m[r][j] * nx.aw.m[r][mm];
+    }
+    for (size_t m1 = 0; m1 < kLtvStates; ++m1) {
+      for (size_t m2 = 0; m2 < kLtvStates; ++m2)
+        d.m[2 + m1][2 + m2] += wn[10] * nx.cw[m1] * nx.cw[m2];
+      for (size_t j = 0; j < kLtvControls; ++j)
+        l.m[j][2 + m1] += wn[10] * nx.cv[j] * nx.cw[m1];
     }
   }
 }
@@ -201,28 +257,9 @@ void LtvQpSolver::ax_into(const LtvQpProblem& problem, const Vector& x,
   const size_t h = problem.horizon();
   out.resize(problem.num_rows());
   for (size_t k = 0; k < h; ++k) {
-    const LtvQpStage& s = problem.stages[k];
     const double* xk = x.data() + kLtvStageVars * k;
-    const double* xp =
-        k > 0 ? x.data() + kLtvStageVars * (k - 1) : nullptr;
-    double* o = out.data() + kLtvStageRows * k;
-    o[0] = xk[0];
-    o[1] = xk[1];
-    for (size_t r = 0; r < kLtvStates; ++r) {
-      double v = s.ew[r] * xk[2 + r];
-      for (size_t j = 0; j < kLtvControls; ++j)
-        v -= s.bv.m[r][j] * xk[j];
-      if (xp)
-        for (size_t mm = 0; mm < kLtvStates; ++mm)
-          v -= s.aw.m[r][mm] * xp[2 + mm];
-      o[2 + r] = v;
-      o[6 + r] = xk[2 + r];
-    }
-    double b = s.cv[0] * xk[0] + s.cv[1] * xk[1];
-    if (xp)
-      for (size_t mm = 0; mm < kLtvStates; ++mm)
-        b += s.cw[mm] * xp[2 + mm];
-    o[10] = b;
+    stage_ax(problem.stages[k], xk, k > 0 ? xk - kLtvStageVars : nullptr,
+             out.data() + kLtvStageRows * k);
   }
 }
 
@@ -230,28 +267,9 @@ void LtvQpSolver::aty_accumulate(const LtvQpProblem& problem, const Vector& t,
                                  Vector& y_out) {
   const size_t h = problem.horizon();
   for (size_t k = 0; k < h; ++k) {
-    const LtvQpStage& s = problem.stages[k];
-    const double* tk = t.data() + kLtvStageRows * k;
     double* yk = y_out.data() + kLtvStageVars * k;
-    double* yp =
-        k > 0 ? y_out.data() + kLtvStageVars * (k - 1) : nullptr;
-    yk[0] += tk[0];
-    yk[1] += tk[1];
-    for (size_t r = 0; r < kLtvStates; ++r) {
-      const double te = tk[2 + r];
-      yk[2 + r] += s.ew[r] * te + tk[6 + r];
-      for (size_t j = 0; j < kLtvControls; ++j)
-        yk[j] -= s.bv.m[r][j] * te;
-      if (yp)
-        for (size_t mm = 0; mm < kLtvStates; ++mm)
-          yp[2 + mm] -= s.aw.m[r][mm] * te;
-    }
-    const double tb = tk[10];
-    yk[0] += s.cv[0] * tb;
-    yk[1] += s.cv[1] * tb;
-    if (yp)
-      for (size_t mm = 0; mm < kLtvStates; ++mm)
-        yp[2 + mm] += s.cw[mm] * tb;
+    stage_aty(problem.stages[k], t.data() + kLtvStageRows * k, yk,
+              k > 0 ? yk - kLtvStageVars : nullptr);
   }
 }
 
@@ -318,6 +336,7 @@ double LtvQpSolver::dual_residual(const LtvQpProblem& problem,
 bool LtvQpSolver::polish(const LtvQpProblem& problem,
                          const QpOptions& options, QpResult& result,
                          size_t& stage_ops) {
+  const obs::TraceSpan polish_span("ltv_qp.polish");
   const size_t h = problem.horizon();
   const size_t n = problem.num_vars();
   const size_t m = problem.num_rows();
@@ -364,26 +383,153 @@ bool LtvQpSolver::polish(const LtvQpProblem& problem,
   // the system PD on its own, so polish runs with a vanishing sigma.
   const double psig = options.sigma * 1e-6;
 
-  // One pure-penalty solve of the current working set, from xp_:
-  //   (P + psig I + A_act^T W A_act) x = psig xp - q + A_act^T (W b - y)
-  // With y == 0 this is bounded by construction (the W-penalty itself
-  // caps how far any active row strays), so working-set mistakes can
-  // never blow the iterate up — the price is a violation of |y*| / W
-  // on a consistent set, which the dual-seeded passes below remove.
-  auto penalty_solve = [&](const Vector* y_seed) {
-    rhs_.resize(n);
-    for (size_t k = 0; k < h; ++k) {
-      const LtvQpStage& s = problem.stages[k];
-      double* r = rhs_.data() + kLtvStageVars * k;
-      const double* xk = xp_.data() + kLtvStageVars * k;
-      for (size_t j = 0; j < kLtvControls; ++j)
-        r[j] = psig * xk[j] - s.q[j];
-      for (size_t rr = 0; rr < kLtvStates; ++rr)
-        r[2 + rr] = psig * xk[2 + rr];
+  // Working-set refinement, the textbook repair loop: solve the set,
+  // then add rows the solution pushes past a bound and drop rows whose
+  // multiplier estimate W (a x - b) points into the feasible set. Each
+  // round is one O(H) factorisation + solve — a handful of ADMM
+  // iterations' work. Duals are NOT carried across rounds: an
+  // inconsistent intermediate set would accumulate W * violation per
+  // round into them and diverge.
+  //
+  // A round solves the set under the pure penalty, from xp_:
+  //   (P + psig I + A_act^T W A_act) x = psig xp - q + A_act^T W b
+  // Without a dual seed this is bounded by construction (the W-penalty
+  // itself caps how far any active row strays), so working-set
+  // mistakes can never blow the iterate up — the price is a violation
+  // of |y*| / W on a consistent set, which the dual-seeded passes below
+  // remove.
+  //
+  // Round 0 assembles and factors everything. A later round's KKT
+  // differs from the previous one only in the blocks the edited rows
+  // touch, so it re-assembles and re-factors from `first`, the lowest
+  // such block over ALL rows the repair step edited (ltv_kkt_first_block;
+  // the result is bitwise the full refactor).
+  //
+  // A round is two stage sweeps, so each stage's bookkeeping runs right
+  // behind the factor and substitution chains it does not depend on.
+  // Forward, k = 0..H-1: assemble block k+1 and build its right-hand
+  // side (stage k+1's rows complete block k), factor stage k, forward-
+  // substitute block k. Backward, k = H-1..0: back-substitute block k,
+  // then stage k+1's rows of A x (x_{k+1} and x_k are final), their
+  // multiplier estimates and the add / worst-wrong-sign scan. The scan
+  // edits only the rows it is on, so it sees what one pass over all
+  // rows would. The drop pass needs the round's `worst`, so it runs
+  // after the sweep.
+  pol_diag_.resize(h);
+  pol_sub_.resize(h - 1);
+  rhs_.resize(n);
+  ax_.resize(m);
+  yp_.resize(m);
+  size_t first = 0;
+  auto round_rhs_block = [&](size_t k) {
+    if (k >= first) assemble_kkt_weighted(problem, psig, w_row_, k);
+    const LtvQpStage& s = problem.stages[k];
+    const size_t row = kLtvStageRows * k;
+    double t[kLtvStageRows];
+    for (size_t r = 0; r < kLtvStageRows; ++r)
+      t[r] = w_row_[row + r] * b_act_[row + r];
+    double* rk = rhs_.data() + kLtvStageVars * k;
+    stage_prox_rhs(s, psig, xp_.data() + kLtvStageVars * k, rk);
+    stage_aty(s, t, rk, k > 0 ? rk - kLtvStageVars : nullptr);
+  };
+  size_t nadd = 0, next_first = h;
+  double worst = 0.0;
+  auto round_scan = [&](size_t k) {
+    const double* xk = rhs_.data() + kLtvStageVars * k;
+    const size_t row = kLtvStageRows * k;
+    stage_ax(problem.stages[k], xk, k > 0 ? xk - kLtvStageVars : nullptr,
+             ax_.data() + row);
+    for (size_t i = row; i < row + kLtvStageRows; ++i) {
+      yp_[i] = w_row_[i] != 0.0 ? kLtvPolishWeight * (ax_[i] - b_act_[i])
+                                : 0.0;
+      // Repair, part one: add every violated row; track the worst
+      // wrong-sign multiplier for the drop pass.
+      if (w_row_[i] == 0.0) {
+        if (l_[i] > -kLtvInf && ax_[i] < l_[i]) {
+          w_row_[i] = kLtvPolishWeight;
+          b_act_[i] = l_[i];
+          ++nadd;
+          next_first = std::min(next_first, ltv_kkt_first_block(i));
+        } else if (u_[i] < kLtvInf && ax_[i] > u_[i]) {
+          w_row_[i] = kLtvPolishWeight;
+          b_act_[i] = u_[i];
+          ++nadd;
+          next_first = std::min(next_first, ltv_kkt_first_block(i));
+        }
+      } else if (l_[i] != u_[i]) {
+        const double wrong = b_act_[i] == l_[i] ? yp_[i] : -yp_[i];
+        worst = std::max(worst, wrong);
+      }
     }
+  };
+
+  xp_ = x_;
+  bool settled = false;
+  for (size_t round = 0; round < kLtvPolishRounds && !settled; ++round) {
+    polish_chol_.begin_factor(pol_diag_, pol_sub_, first);
+    round_rhs_block(0);
+    for (size_t k = 0; k < h; ++k) {
+      if (k + 1 < h) round_rhs_block(k + 1);
+      if (k >= first) polish_chol_.factor_stage(k);
+      polish_chol_.forward_stage(k, rhs_.data());
+    }
+    stage_ops += (h - first) + h;  // assembly, A^T t
+    nadd = 0;
+    next_first = h;
+    worst = 0.0;
+    for (size_t k = h; k-- > 0;) {
+      polish_chol_.backward_stage(k, rhs_.data());
+      if (k + 1 < h) round_scan(k + 1);
+    }
+    round_scan(0);
+    stage_ops += h;  // A x
+    std::swap(xp_, rhs_);
+    // Repair, part two: drop the wrong-sign rows that are confidently
+    // wrong — at least kLtvPolishDropFrac of the worst offender this
+    // round (peels tiers of comparably-wrong rows together instead of
+    // one per round) and above an absolute noise floor. The floor
+    // matters: a degenerate row (true multiplier 0) estimates W *
+    // O(machine eps), whose sign is coin-flip noise — dropping it
+    // creates a noise-sized violation, the add step pulls it back, and
+    // the set cycles at the finish line forever.
+    size_t ndrop = 0;
+    if (worst > kLtvPolishDropFloor) {
+      const double cut =
+          std::max(kLtvPolishDropFrac * worst, kLtvPolishDropFloor);
+      for (size_t i = 0; i < m; ++i) {
+        if (w_row_[i] == 0.0 || l_[i] == u_[i]) continue;
+        const double y_est = kLtvPolishWeight * (ax_[i] - b_act_[i]);
+        const double wrong = b_act_[i] == l_[i] ? y_est : -y_est;
+        if (wrong >= cut) {
+          w_row_[i] = 0.0;
+          ++ndrop;
+          next_first = std::min(next_first, ltv_kkt_first_block(i));
+        }
+      }
+    }
+    settled = nadd == 0 && ndrop == 0;
+    first = next_first;
+  }
+  result.polish_unsettled = !settled;
+
+  // Multiplier estimates of the final set AS SOLVED (the repair step
+  // may have edited w_row_ after the last solve — estimates against
+  // the edited set would not be stationarity-consistent), then (on a
+  // settled set) guarded augmented-Lagrangian passes on the
+  // already-current factorisation: each shrinks the active-row
+  // violation by ~kappa/W towards machine zero, and a pass that fails
+  // to shrink it (the set was inconsistent after all) is discarded
+  // before it can diverge. A pass solves the round's system seeded
+  // with the multiplier estimates,
+  //   (P + psig I + A_act^T W A_act) x = psig xp - q + A_act^T (W b - yp),
+  // on the factor the last round left.
+  auto seeded_penalty_solve = [&]() {
+    for (size_t k = 0; k < h; ++k)
+      stage_prox_rhs(problem.stages[k], psig,
+                     xp_.data() + kLtvStageVars * k,
+                     rhs_.data() + kLtvStageVars * k);
     t_.resize(m);
-    for (size_t i = 0; i < m; ++i)
-      t_[i] = w_row_[i] * b_act_[i] - (y_seed ? (*y_seed)[i] : 0.0);
+    for (size_t i = 0; i < m; ++i) t_[i] = w_row_[i] * b_act_[i] - yp_[i];
     aty_accumulate(problem, t_, rhs_);
     stage_ops += h;
     polish_chol_.solve_in_place(rhs_);
@@ -395,95 +541,10 @@ bool LtvQpSolver::polish(const LtvQpProblem& problem,
         v = std::max(v, std::abs(ax_[i] - b_act_[i]));
     return v;
   };
-
-  // Working-set refinement, the textbook repair loop: solve the set,
-  // then add rows the solution pushes past a bound and drop rows whose
-  // multiplier estimate W (a x - b) points into the feasible set. Each
-  // round is one O(H) factorisation + solve — a handful of ADMM
-  // iterations' work. Duals are NOT carried across rounds: an
-  // inconsistent intermediate set would accumulate W * violation per
-  // round into them and diverge.
-  //
-  // Round 0 assembles and factors everything. A later round's KKT
-  // differs from the previous one only in the blocks the edited rows
-  // touch, so it re-assembles and re-factors from `first`, the lowest
-  // such block over ALL rows the repair step edited (ltv_kkt_first_block;
-  // the result is bitwise the full refactor).
-  xp_ = x_;
-  bool settled = false;
-  size_t first = 0;
-  for (size_t round = 0; round < kLtvPolishRounds && !settled; ++round) {
-    assemble_kkt_weighted(problem, psig, w_row_, first);
-    stage_ops += h - first;
-    polish_chol_.factor(pol_diag_, pol_sub_, first);
-    penalty_solve(nullptr);
-    std::swap(xp_, rhs_);
-    ax_into(problem, xp_, ax_);
-    stage_ops += h;
-    yp_.assign(m, 0.0);
-    for (size_t i = 0; i < m; ++i)
-      if (w_row_[i] != 0.0)
-        yp_[i] = kLtvPolishWeight * (ax_[i] - b_act_[i]);
-    // Repair: add every violated row, and drop the wrong-sign rows that
-    // are confidently wrong — at least kLtvPolishDropFrac of the worst
-    // offender this round (peels tiers of comparably-wrong rows
-    // together instead of one per round) and above an absolute noise
-    // floor. The floor matters: a degenerate row (true multiplier 0)
-    // estimates W * O(machine eps), whose sign is coin-flip noise —
-    // dropping it creates a noise-sized violation, the add step pulls
-    // it back, and the set cycles at the finish line forever.
-    size_t nadd = 0, ndrop = 0;
-    double worst = 0.0;
-    first = h;
-    for (size_t i = 0; i < m; ++i) {
-      if (w_row_[i] == 0.0) {
-        if (l_[i] > -kLtvInf && ax_[i] < l_[i]) {
-          w_row_[i] = kLtvPolishWeight;
-          b_act_[i] = l_[i];
-          ++nadd;
-          first = std::min(first, ltv_kkt_first_block(i));
-        } else if (u_[i] < kLtvInf && ax_[i] > u_[i]) {
-          w_row_[i] = kLtvPolishWeight;
-          b_act_[i] = u_[i];
-          ++nadd;
-          first = std::min(first, ltv_kkt_first_block(i));
-        }
-      } else if (l_[i] != u_[i]) {
-        const double y_est = kLtvPolishWeight * (ax_[i] - b_act_[i]);
-        const double wrong = b_act_[i] == l_[i] ? y_est : -y_est;
-        worst = std::max(worst, wrong);
-      }
-    }
-    if (worst > kLtvPolishDropFloor) {
-      const double cut =
-          std::max(kLtvPolishDropFrac * worst, kLtvPolishDropFloor);
-      for (size_t i = 0; i < m; ++i) {
-        if (w_row_[i] == 0.0 || l_[i] == u_[i]) continue;
-        const double y_est = kLtvPolishWeight * (ax_[i] - b_act_[i]);
-        const double wrong = b_act_[i] == l_[i] ? y_est : -y_est;
-        if (wrong >= cut) {
-          w_row_[i] = 0.0;
-          ++ndrop;
-          first = std::min(first, ltv_kkt_first_block(i));
-        }
-      }
-    }
-    settled = nadd == 0 && ndrop == 0;
-  }
-  result.polish_unsettled = !settled;
-
-  // Multiplier estimates of the final set AS SOLVED (the repair step
-  // may have edited w_row_ after the last solve — estimates against
-  // the edited set would not be stationarity-consistent), then (on a
-  // settled set) guarded augmented-Lagrangian passes on the
-  // already-current factorisation: each shrinks the active-row
-  // violation by ~kappa/W towards machine zero, and a pass that fails
-  // to shrink it (the set was inconsistent after all) is discarded
-  // before it can diverge.
   if (settled) {
     double prev_viol = active_violation();
     for (size_t pass = 0; pass < kLtvPolishPasses; ++pass) {
-      penalty_solve(&yp_);
+      seeded_penalty_solve();
       ax_into(problem, rhs_, ax_);
       stage_ops += h;
       const double viol = active_violation();
@@ -612,10 +673,6 @@ QpResult LtvQpSolver::solve(const LtvQpProblem& problem,
   // the factor, so drift cannot accumulate across solves.
   set_rho_rows(rho);
 
-  // Per-stage linear cost, flattened (states are costless).
-  rhs_.resize(n);  // reused as q_full scratch before the loop
-  px_.assign(n, 0.0);
-
   result.warm_started = warm.x.size() == n && warm.y.size() == m;
   if (result.warm_started) {
     x_ = warm.x;
@@ -651,36 +708,42 @@ QpResult LtvQpSolver::solve(const LtvQpProblem& problem,
     y_.assign(m, 0.0);
   }
 
-  for (size_t it = 0; it < options.max_iterations; ++it) {
-    // x-update: solve K x = sigma x - q + A^T (R z - y) in place in
-    // rhs_, with R = diag(rho * row_rho_scale).
-    rhs_.resize(n);
-    for (size_t k = 0; k < h; ++k) {
-      const LtvQpStage& s = problem.stages[k];
-      double* r = rhs_.data() + kLtvStageVars * k;
-      const double* xk = x_.data() + kLtvStageVars * k;
-      for (size_t j = 0; j < kLtvControls; ++j)
-        r[j] = options.sigma * xk[j] - s.q[j];
-      for (size_t rr = 0; rr < kLtvStates; ++rr)
-        r[2 + rr] = options.sigma * xk[2 + rr];
-    }
-    t_.resize(m);
-    for (size_t i = 0; i < m; ++i)
-      t_[i] = rho_row_[i] * z_[i] - y_[i];
-    aty_accumulate(problem, t_, rhs_);
-    stage_ops += h;
-    chol_.solve_in_place(rhs_);
-    const Vector& x_new = rhs_;
-
-    // Over-relaxed z-update with projection onto [l, u], fused with the
-    // primal residual and the termination norms (one pass over m).
-    ax_into(problem, x_new, ax_);
-    stage_ops += h;
-    z_new_.resize(m);
-    double r_prim = 0.0, ax_norm = 0.0, z_norm = 0.0;
-    for (size_t i = 0; i < m; ++i) {
+  // One ADMM iteration is two stage sweeps over the cached factor, so
+  // each stage's bookkeeping runs right behind the substitution chains
+  // it does not depend on.
+  //   Forward, k = 0..H-1: right-hand-side block k+1 of the x-update
+  //     K x = sigma x - q + A^T (R z - y), R = diag(rho * row_rho_scale),
+  //     whose stage k+1 rows complete block k; then forward-substitute
+  //     block k.
+  //   Backward, k = H-1..0: back-substitute block k; x_{k+1} and x_k are
+  //     then final, so stage k+1's rows of A x get their over-relaxed
+  //     z-update with projection onto [l, u], the dual update and the
+  //     residual maxima. Stage 0's rows come last.
+  // Every element sees the operations of separate whole-vector passes
+  // in the same order, and the maxima do not depend on row order.
+  rhs_.resize(n);
+  z_new_.resize(m);
+  auto admm_rhs_block = [&](size_t k) {
+    const LtvQpStage& s = problem.stages[k];
+    const size_t row = kLtvStageRows * k;
+    double t[kLtvStageRows];
+    for (size_t r = 0; r < kLtvStageRows; ++r)
+      t[r] = rho_row_[row + r] * z_[row + r] - y_[row + r];
+    double* rk = rhs_.data() + kLtvStageVars * k;
+    stage_prox_rhs(s, options.sigma, x_.data() + kLtvStageVars * k, rk);
+    stage_aty(s, t, rk, k > 0 ? rk - kLtvStageVars : nullptr);
+  };
+  double r_prim = 0.0, ax_norm = 0.0, z_norm = 0.0;
+  auto admm_z_update = [&](size_t k) {
+    const double* xk = rhs_.data() + kLtvStageVars * k;
+    double ax[kLtvStageRows];
+    stage_ax(problem.stages[k], xk, k > 0 ? xk - kLtvStageVars : nullptr,
+             ax);
+    const size_t row = kLtvStageRows * k;
+    for (size_t r = 0; r < kLtvStageRows; ++r) {
+      const size_t i = row + r;
       const double ri = rho_row_[i];
-      const double axi = ax_[i];
+      const double axi = ax[r];
       const double axr = options.alpha * axi + (1.0 - options.alpha) * z_[i];
       const double zi = std::clamp(axr + y_[i] / ri, l_[i], u_[i]);
       z_new_[i] = zi;
@@ -689,54 +752,73 @@ QpResult LtvQpSolver::solve(const LtvQpProblem& problem,
       ax_norm = std::max(ax_norm, std::abs(axi));
       z_norm = std::max(z_norm, std::abs(zi));
     }
+  };
 
-    std::swap(x_, rhs_);
-    std::swap(z_, z_new_);
-    result.iterations = it + 1;
-    result.primal_residual = r_prim;
+  {  // ADMM iterations, rho updates included
+    const obs::TraceSpan admm_span("ltv_qp.admm");
+    for (size_t it = 0; it < options.max_iterations; ++it) {
+      admm_rhs_block(0);
+      for (size_t k = 0; k < h; ++k) {
+        if (k + 1 < h) admm_rhs_block(k + 1);
+        chol_.forward_stage(k, rhs_.data());
+      }
+      stage_ops += h;  // A^T t
+      r_prim = ax_norm = z_norm = 0.0;
+      for (size_t k = h; k-- > 0;) {
+        chol_.backward_stage(k, rhs_.data());
+        if (k + 1 < h) admm_z_update(k + 1);
+      }
+      admm_z_update(0);
+      stage_ops += h;  // A x
 
-    const double eps_p =
-        options.eps_abs + options.eps_rel * std::max(ax_norm, z_norm);
+      std::swap(x_, rhs_);
+      std::swap(z_, z_new_);
+      result.iterations = it + 1;
+      result.primal_residual = r_prim;
 
-    // Lazy dual residual, same policy as the dense solver: only when it
-    // can gate termination, feed the rho rebalance, or be reported.
-    const bool rho_due = options.rho_update_interval != 0 &&
-                         (it + 1) % options.rho_update_interval == 0;
-    const bool need_dual =
-        r_prim <= eps_p || rho_due || it + 1 == options.max_iterations;
-    double r_dual = result.dual_residual;
-    double eps_d = 0.0;
-    if (need_dual) {
-      double dual_scale = 0.0;
-      r_dual = dual_residual(problem, x_, y_, dual_scale);
-      stage_ops += h;
-      eps_d = options.eps_abs + options.eps_rel * dual_scale;
-      result.dual_residual = r_dual;
-    }
+      const double eps_p =
+          options.eps_abs + options.eps_rel * std::max(ax_norm, z_norm);
 
-    if (r_prim <= eps_p && r_dual <= eps_d) {
-      result.converged = true;
-      break;
-    }
+      // Lazy dual residual, same policy as the dense solver: only when it
+      // can gate termination, feed the rho rebalance, or be reported.
+      const bool rho_due = options.rho_update_interval != 0 &&
+                           (it + 1) % options.rho_update_interval == 0;
+      const bool need_dual =
+          r_prim <= eps_p || rho_due || it + 1 == options.max_iterations;
+      double r_dual = result.dual_residual;
+      double eps_d = 0.0;
+      if (need_dual) {
+        double dual_scale = 0.0;
+        r_dual = dual_residual(problem, x_, y_, dual_scale);
+        stage_ops += h;
+        eps_d = options.eps_abs + options.eps_rel * dual_scale;
+        result.dual_residual = r_dual;
+      }
 
-    if (rho_due) {
-      const double rel_p = r_prim / std::max(eps_p, 1e-30);
-      const double rel_d = r_dual / std::max(eps_d, 1e-30);
-      const double ratio = std::sqrt(rel_p / std::max(rel_d, 1e-30));
-      if (ratio > 3.16 || ratio < 0.316) {
-        // Banded refinement: bound each rebalance to one order of
-        // magnitude. The unbounded sqrt-ratio step can jump rho x20+
-        // past the equilibrium in one update, where the deadband then
-        // pins it (too-high rho = vanishing primal residual = no
-        // downward pressure) and the dual converges at a crawl.
-        const double step_ratio =
-            std::clamp(ratio, 1.0 / kLtvRhoStepCap, kLtvRhoStepCap);
-        const double rho_new = std::clamp(rho * step_ratio, 1e-6, 1e6);
-        if (rho_new != rho) {
-          rho = rho_new;
-          refactor(rho);
-          set_rho_rows(rho);
-          ++result.rho_updates;
+      if (r_prim <= eps_p && r_dual <= eps_d) {
+        result.converged = true;
+        break;
+      }
+
+      if (rho_due) {
+        const double rel_p = r_prim / std::max(eps_p, 1e-30);
+        const double rel_d = r_dual / std::max(eps_d, 1e-30);
+        const double ratio = std::sqrt(rel_p / std::max(rel_d, 1e-30));
+        if (ratio > 3.16 || ratio < 0.316) {
+          // Banded refinement: bound each rebalance to one order of
+          // magnitude. The unbounded sqrt-ratio step can jump rho x20+
+          // past the equilibrium in one update, where the deadband then
+          // pins it (too-high rho = vanishing primal residual = no
+          // downward pressure) and the dual converges at a crawl.
+          const double step_ratio =
+              std::clamp(ratio, 1.0 / kLtvRhoStepCap, kLtvRhoStepCap);
+          const double rho_new = std::clamp(rho * step_ratio, 1e-6, 1e6);
+          if (rho_new != rho) {
+            rho = rho_new;
+            refactor(rho);
+            set_rho_rows(rho);
+            ++result.rho_updates;
+          }
         }
       }
     }

@@ -148,12 +148,14 @@ class LtvQpSolver {
   }
 
   void assemble_kkt(const LtvQpProblem& problem, double sigma, double rho);
-  /// Polish variant: K = P + sigma I + A^T diag(w) A for an arbitrary
-  /// per-row weight vector (into pol_diag_/pol_sub_, leaving the cached
-  /// ADMM factorisation untouched). Only blocks >= `first` are written;
-  /// lower ones keep what the previous round's factor left there.
+  /// Polish variant: block k (pol_diag_[k] and, below the last stage,
+  /// pol_sub_[k]) of K = P + sigma I + A^T diag(w) A for an arbitrary
+  /// per-row weight vector, leaving the cached ADMM factorisation
+  /// untouched. A polish round calls it for its blocks >= `first` from
+  /// inside its factor sweep; lower blocks keep what the previous
+  /// round's factor left there.
   void assemble_kkt_weighted(const LtvQpProblem& problem, double sigma,
-                             const Vector& w, size_t first);
+                             const Vector& w, size_t k);
   void ax_into(const LtvQpProblem& problem, const Vector& x, Vector& out);
   void aty_accumulate(const LtvQpProblem& problem, const Vector& t,
                       Vector& y_out);
@@ -183,7 +185,9 @@ class LtvQpSolver {
   // Row bounds flattened once per solve (stage-major, kLtvStageRows per
   // stage) so the ADMM loop indexes plain arrays.
   Vector l_, u_;
-  // ADMM iterates + scratch, persisted across calls.
+  // ADMM iterates + scratch, persisted across calls. The ADMM iteration
+  // builds its right-hand side in rhs_ and solves it there; t_ and ax_
+  // are the polish's whole-vector scratch.
   Vector x_, z_, y_;
   Vector rhs_, t_, ax_, z_new_;
   Vector px_, aty_, dres_;

@@ -4,9 +4,16 @@
 // 4-state / 2-control pieces of the step Jacobians (4x4 dynamics, 4x2
 // input maps, 2x2 control Grams, 6x6 stage blocks). These kernels keep
 // that block math in registers: every dimension is a compile-time
-// constant, storage is a flat stack array, the loops fully unroll and
-// vectorise, and nothing touches the heap. Outputs never alias inputs —
-// the call sites pass distinct objects by construction.
+// constant, storage is a flat stack array, the loops fully unroll, and
+// nothing touches the heap. Outputs never alias inputs — the call sites
+// pass distinct objects by construction.
+//
+// They run scalar. Their one production user, optim/ltv_qp.cpp, is
+// compiled with -fno-tree-vectorize: the Cholesky and substitution
+// kernels are chains of dependent divides and square roots, and GCC's
+// vector lanes only lengthen those chains with shuffles (measured in
+// docs/PERFORMANCE.md). Instantiate them in no other library TU, or a
+// vectorized copy could be the one the linker keeps.
 //
 // This is deliberately NOT a general matrix library (optim/matrix.h is
 // the runtime-sized one); it is the minimal kernel set the

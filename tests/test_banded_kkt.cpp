@@ -4,8 +4,9 @@
 // Cholesky against the dense factorisation and its partial refactor
 // against a full one, the structured LtvQpSolver against
 // the dense QpSolver on randomised stage problems (via
-// ltv_qp_to_dense), and the controller-level dense-vs-banded agreement
-// on receding-horizon sequences.
+// ltv_qp_to_dense), bit pins on warm-started solve sequences, and the
+// controller-level dense-vs-banded agreement on receding-horizon
+// sequences.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +14,7 @@
 #include <cstring>
 #include <vector>
 
+#include "bit_hash.h"
 #include "common/rng.h"
 #include "core/otem/ltv_controller.h"
 #include "optim/block_tridiag.h"
@@ -371,6 +373,69 @@ TEST(BlockTridiagCholesky, PartialRefactorNeedsAPreviousFactor) {
   EXPECT_THROW(chol.factor(other.diag, other.sub, 1), SimError);
 }
 
+TEST(BlockTridiagCholesky, InterleavedStageStepsAreBitwiseFactorAndSolve) {
+  // A caller may run factor_stage(k) and forward_stage(k) back to back
+  // (the polish round does), then the backward stages: the result is
+  // bitwise factor() + solve_in_place(), block ops included.
+  const size_t h = 7;
+  Rng rng(49);
+  std::vector<Block6> ld(h), ls(h - 1);
+  for (size_t k = 0; k < h; ++k) {
+    ld[k] = random_lower_block(rng);
+    if (k + 1 < h) ls[k] = random_small<6, 6>(rng, -0.5, 0.5);
+  }
+  const TridiagBlocks kkt = tridiag_from_factor(ld, ls);
+  Vector b(6 * h);
+  for (auto& v : b) v = rng.uniform(-1.0, 1.0);
+
+  TridiagBlocks whole = kkt;
+  BlockTridiagCholesky<6> ref;
+  ref.factor(whole.diag, whole.sub);
+  Vector want = b;
+  ref.solve_in_place(want);
+
+  TridiagBlocks staged = kkt;
+  BlockTridiagCholesky<6> chol;
+  chol.begin_factor(staged.diag, staged.sub);
+  Vector got = b;
+  for (size_t k = 0; k < h; ++k) {
+    EXPECT_FALSE(chol.factored());
+    chol.factor_stage(k);
+    chol.forward_stage(k, got.data());
+  }
+  ASSERT_TRUE(chol.factored());
+  for (size_t k = h; k-- > 0;) chol.backward_stage(k, got.data());
+  EXPECT_TRUE(same_bits(staged, whole));
+  EXPECT_TRUE(same_bits(got, want));
+  EXPECT_EQ(chol.block_ops(), ref.block_ops());
+}
+
+TEST(BlockTridiagCholesky, NonSpdStageThrowsAndLeavesNoFactor) {
+  Rng rng(50);
+  std::vector<Block6> ld(4), ls(3);
+  for (size_t k = 0; k < 4; ++k) {
+    ld[k] = random_lower_block(rng);
+    if (k < 3) ls[k] = random_small<6, 6>(rng, -0.5, 0.5);
+  }
+  TridiagBlocks k = tridiag_from_factor(ld, ls);
+  BlockTridiagCholesky<6> chol;
+  chol.factor(k.diag, k.sub);
+  ASSERT_TRUE(chol.factored());
+
+  TridiagBlocks bad = tridiag_from_factor(ld, ls);
+  bad.diag[2].m[3][3] = -1.0;  // stage 2 is not SPD
+  EXPECT_THROW(chol.factor(bad.diag, bad.sub), SimError);
+  EXPECT_FALSE(chol.factored());
+  EXPECT_EQ(chol.stages(), 0u);
+  Vector b(6 * 4, 1.0);
+  EXPECT_THROW(chol.solve_in_place(b), SimError);
+  // Nor does the failed factor count as a previous one to refactor from.
+  EXPECT_THROW(chol.factor(bad.diag, bad.sub, 3), SimError);
+  // Stages must come in order.
+  chol.begin_factor(k.diag, k.sub);
+  EXPECT_THROW(chol.factor_stage(1), SimError);
+}
+
 // ---------------------------------------------------------------------------
 // Structured solver vs the dense oracle on randomised stage problems.
 
@@ -624,6 +689,105 @@ TEST(LtvQpSolver, StageBlockOpsPerIterationGrowLinearlyInHorizon) {
   const double ratio = ops_per_iter(16) / ops_per_iter(8);
   EXPECT_GT(ratio, 1.6);
   EXPECT_LT(ratio, 2.4);
+}
+
+// Bit pins: seeded, warm-started solve sequences, hashed over every
+// output double and count. H = 1 and 2 are the boundary cases of the
+// stage sweeps (one stage with no neighbour; no stage with both), H =
+// 30 the serving horizon; eps 1e-2 is the shipped ADMM tolerance
+// and 0.2 the RTI one. The constants are the x86-64 baseline build's
+// values (SSE2 doubles, no FMA contraction); re-record them only in a
+// change that means to move the solver's answers.
+struct SequencePin {
+  std::uint64_t hash = 0;
+  size_t rho_updates = 0, polished = 0, unsettled = 0, rejected = 0;
+};
+
+SequencePin hash_warm_sequence(size_t horizon, double eps) {
+  QpOptions opt;
+  opt.eps_abs = eps;
+  opt.eps_rel = eps;
+  opt.polish = true;
+  Rng rng(900 + horizon);
+  LtvQpSolver solver;
+  QpWarmStart warm;
+  LtvQpProblem p;
+  test::BitHash hash;
+  SequencePin pin;
+  for (size_t step = 0; step < 12; ++step) {
+    // A fresh problem every fourth solve; in between only the linear
+    // cost drifts, like consecutive receding-horizon problems. Tight
+    // state and battery bounds crowd the active set, so rho updates,
+    // unsettled polishes and rejected polishes all occur.
+    if (step % 4 == 0) {
+      p = random_ltv_problem(rng, horizon);
+      for (LtvQpStage& s : p.stages) {
+        for (size_t r = 0; r < 4; ++r) {
+          s.x_lo[r] = -0.25;
+          s.x_hi[r] = 0.25;
+        }
+        s.b_lo = -0.2;
+        s.b_hi = 0.2;
+      }
+    } else {
+      for (LtvQpStage& s : p.stages)
+        for (double& q : s.q) q += rng.uniform(-1.5, 1.5);
+    }
+    const QpResult r = solver.solve(p, opt, warm);
+    hash.add(r.x);
+    hash.add(r.y);
+    hash.add_count(r.iterations);
+    hash.add_flag(r.converged);
+    hash.add(r.primal_residual);
+    hash.add(r.dual_residual);
+    hash.add_count(r.rho_updates);
+    hash.add(r.rho_final);
+    hash.add_flag(r.warm_started);
+    hash.add_count(r.kkt_refactorizations);
+    hash.add_count(r.stage_block_ops);
+    hash.add_flag(r.polished);
+    hash.add_flag(r.polish_unsettled);
+    pin.rho_updates += r.rho_updates;
+    pin.polished += r.polished;
+    pin.unsettled += r.polish_unsettled;
+    pin.rejected += r.converged && !r.polished;
+    warm.x = r.x;
+    warm.y = r.y;
+    warm.rho = r.rho_final;
+  }
+  pin.hash = hash.value();
+  return pin;
+}
+
+TEST(LtvQpBitPin, WarmStartedSequencesAtTheSweepBoundaries) {
+  struct Case {
+    size_t horizon;
+    double eps;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {1, 1e-2, 0x38692066d32f83ccull},
+      {1, 0.2, 0x68a85d22962cbdfaull},
+      {2, 1e-2, 0xd31c32aa31a01b67ull},
+      {2, 0.2, 0xe7f382fb2cdec18eull},
+      {30, 1e-2, 0x0ecf821214e518f1ull},
+      {30, 0.2, 0xdfdbfb2fbb62f2b9ull},
+  };
+  SequencePin total;
+  for (const Case& c : cases) {
+    const SequencePin pin = hash_warm_sequence(c.horizon, c.eps);
+    EXPECT_EQ(pin.hash, c.hash) << "H " << c.horizon << " eps " << c.eps
+                                << std::hex << ": 0x" << pin.hash;
+    total.rho_updates += pin.rho_updates;
+    total.polished += pin.polished;
+    total.unsettled += pin.unsettled;
+    total.rejected += pin.rejected;
+  }
+  // The sequences take every path the stage sweeps restructure.
+  EXPECT_GT(total.rho_updates, 0u);
+  EXPECT_GT(total.polished, 0u);
+  EXPECT_GT(total.unsettled, 0u);
+  EXPECT_GT(total.rejected, 0u);
 }
 
 }  // namespace

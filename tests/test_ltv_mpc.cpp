@@ -1,15 +1,21 @@
 // Tests for the LTV-QP controller path: the per-step linearisation
-// against finite differences of the nonlinear rollout, and closed-loop
-// behaviour on par with the shooting controller.
+// against finite differences of the nonlinear rollout, closed-loop
+// behaviour on par with the shooting controller, and bit pins on the
+// closed loop's every output.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <memory>
 
+#include "bit_hash.h"
 #include "common/rng.h"
 #include "core/otem/ltv_controller.h"
 #include "core/otem/otem_controller.h"
 #include "core/otem/otem_methodology.h"
 #include "sim/simulator.h"
+#include "vehicle/drive_cycle.h"
+#include "vehicle/powertrain.h"
 
 namespace otem::core {
 namespace {
@@ -243,6 +249,123 @@ TEST(LtvController, SoeFloorRespectedInClosedLoop) {
   const TimeSeries load(1.0, std::vector<double>(500, 45000.0));
   const sim::RunResult r = sim.run(ltv, load);
   EXPECT_GT(r.trace.soe_percent.min(), 15.0);
+}
+
+// ---------------------------------------------------------------------------
+// Bit pins. Closed-loop otem-ltv results move with one ulp of one QP
+// answer (docs/PERFORMANCE.md §5), so solver speed-ups must keep every
+// output bit. These runs hash everything the closed loop sees of the
+// controller and compare it with a constant recorded once. The
+// constants are the x86-64 baseline build's values (SSE2 doubles, no
+// FMA contraction); a -march=native build on an FMA machine computes
+// other bits. Re-record them only in a change that means to move the
+// solver's answers.
+
+/// Wraps the controller under test, hashing every decision and every
+/// SolveDiagnostics field, and tallies the solver paths the run took.
+class HashingLtvController final : public ControllerIface {
+ public:
+  HashingLtvController(const SystemSpec& spec, const LtvOptions& options)
+      : inner_(spec, MpcOptions{}, options) {}
+
+  void reset() override { inner_.reset(); }
+  size_t horizon() const override { return inner_.horizon(); }
+  SolveDiagnostics diagnostics() const override {
+    return inner_.diagnostics();
+  }
+
+  MpcProblem::Controls solve(const PlantState& state,
+                             const std::vector<double>& window) override {
+    const MpcProblem::Controls u = inner_.solve(state, window);
+    const SolveDiagnostics d = inner_.diagnostics();
+    hash.add(u.p_cap_bus_w);
+    hash.add(u.p_cooler_w);
+    hash.add_flag(d.present);
+    hash.add_flag(d.converged);
+    hash.add_flag(d.fallback);
+    hash.add_count(d.iterations);
+    hash.add_count(d.sqp_rounds);
+    hash.add_count(d.qp_iterations);
+    hash.add_count(d.qp_rho_updates);
+    hash.add_count(d.qp_warm_hits);
+    hash.add_count(d.kkt_refactorizations);
+    hash.add_count(d.stage_block_ops);
+    hash.add_count(d.qp_polish_hits);
+    hash.add_count(d.qp_polish_unsettled);
+    hash.add(d.cost);
+    hash.add(d.constraint_violation);
+    hash.add(d.primal_residual);
+    hash.add(d.dual_residual);
+    // solve_time_us is wall clock, stamped by the caller: not hashed.
+    rho_updates += d.qp_rho_updates;
+    unsettled += d.qp_polish_unsettled;
+    // With one QP round per step a converged round whose polish was not
+    // accepted is exactly a rejected polish.
+    if (d.sqp_rounds == 1 && d.converged && d.qp_polish_hits == 0)
+      ++rejected;
+    return u;
+  }
+
+  /// Fold in the last QP round's terminal iterates.
+  void hash_last_iterates() {
+    const optim::QpWarmStart& w = inner_.last_qp_iterates();
+    hash.add(w.x);
+    hash.add(w.y);
+    hash.add(w.rho);
+  }
+
+  test::BitHash hash;
+  size_t rho_updates = 0, unsettled = 0, rejected = 0;
+
+ private:
+  LtvOtemController inner_;
+};
+
+/// The first `seconds` of NYCC, closed loop through OtemMethodology,
+/// which keeps the hashing controller alive for the caller to read.
+struct NyccPrefixRun {
+  std::unique_ptr<OtemMethodology> methodology;
+  HashingLtvController* ctrl = nullptr;
+};
+
+NyccPrefixRun run_nycc_prefix(const LtvOptions& options, size_t seconds) {
+  const SystemSpec spec = default_spec();
+  const TimeSeries full = vehicle::Powertrain(spec.vehicle)
+                              .power_trace(vehicle::generate(
+                                  vehicle::CycleName::kNycc));
+  const TimeSeries load(
+      full.dt(), std::vector<double>(full.values().begin(),
+                                     full.values().begin() +
+                                         static_cast<long>(seconds)));
+  NyccPrefixRun run;
+  auto ctrl = std::make_unique<HashingLtvController>(spec, options);
+  run.ctrl = ctrl.get();
+  run.methodology = std::make_unique<OtemMethodology>(spec, std::move(ctrl));
+  (void)sim::Simulator(spec).run(*run.methodology, load);
+  run.ctrl->hash_last_iterates();
+  return run;
+}
+
+TEST(LtvBitPin, NyccPrefixAtTheShippedPoint) {
+  const NyccPrefixRun run = run_nycc_prefix(LtvOptions{}, 150);
+  // The run covers the paths the QP's stage sweeps restructure.
+  EXPECT_GT(run.ctrl->rho_updates, 0u);
+  EXPECT_GT(run.ctrl->unsettled, 0u);
+  EXPECT_EQ(run.ctrl->hash.value(), 0x4a4d9f714aef6277ull)
+      << std::hex << "0x" << run.ctrl->hash.value();
+}
+
+TEST(LtvBitPin, NyccPrefixAtTheRtiPoint) {
+  LtvOptions rti;  // ltv.sqp_iterations=1 ltv.qp.eps=0.2
+  rti.sqp_iterations = 1;
+  rti.qp.eps_abs = 0.2;
+  rti.qp.eps_rel = 0.2;
+  const NyccPrefixRun run = run_nycc_prefix(rti, 150);
+  EXPECT_GT(run.ctrl->rho_updates, 0u);
+  EXPECT_GT(run.ctrl->unsettled, 0u);
+  EXPECT_GT(run.ctrl->rejected, 0u);
+  EXPECT_EQ(run.ctrl->hash.value(), 0xeccc292ddd4c2480ull)
+      << std::hex << "0x" << run.ctrl->hash.value();
 }
 
 }  // namespace
