@@ -6,8 +6,8 @@
 // both held to the <5 % overhead budget CI enforces via
 // bench/check_overhead.py — the ADMM QP hot path (cold one-shot vs a
 // warm persistent QpSolver workspace, ns per ADMM iteration), and the
-// obs primitives themselves (counter add, histogram record, scoped
-// timer). bench/run_benchmarks.sh wraps this binary and emits
+// obs primitives themselves (counter add, sketch record, trace span).
+// bench/run_benchmarks.sh wraps this binary and emits
 // BENCH_fleet.json so successive PRs have a perf trajectory to regress
 // against.
 #include <benchmark/benchmark.h>
@@ -21,7 +21,6 @@
 #include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/sketch.h"
-#include "obs/timer.h"
 #include "obs/trace.h"
 #include "optim/qp.h"
 #include "sim/obs_sink.h"
@@ -171,9 +170,9 @@ BENCHMARK(BM_FleetEvaluateTraced)
 
 // --- obs primitives ----------------------------------------------------
 // The per-event costs underlying the fleet overhead: a sharded counter
-// add, a histogram record (binary search + 5 atomics), and the scoped
-// timer's two clock reads. The *Disabled variants measure the kill
-// switch (one relaxed load, no clock).
+// add, a sketch record (shard mutex + amortized compaction), and a
+// trace span. BM_TraceSpanDisabled measures the tracer's kill switch
+// (one relaxed load, no clock).
 
 void BM_ObsCounterAdd(benchmark::State& state) {
   obs::MetricsRegistry registry;
@@ -182,29 +181,6 @@ void BM_ObsCounterAdd(benchmark::State& state) {
   benchmark::DoNotOptimize(c.value());
 }
 BENCHMARK(BM_ObsCounterAdd);
-
-void BM_ObsHistogramRecord(benchmark::State& state) {
-  obs::MetricsRegistry registry;
-  obs::Histogram& h =
-      registry.histogram("bench.hist", obs::latency_buckets_us());
-  double v = 1.0;
-  for (auto _ : state) {
-    h.record(v);
-    v = v < 1e6 ? v * 1.7 : 1.0;
-  }
-}
-BENCHMARK(BM_ObsHistogramRecord);
-
-void BM_ObsScopedTimer(benchmark::State& state) {
-  obs::MetricsRegistry registry;
-  obs::Histogram& h =
-      registry.histogram("bench.timer", obs::latency_buckets_us());
-  for (auto _ : state) {
-    const obs::ScopedTimer t(h);
-    benchmark::DoNotOptimize(&t);
-  }
-}
-BENCHMARK(BM_ObsScopedTimer);
 
 void BM_ObsSketchRecord(benchmark::State& state) {
   obs::MetricsRegistry registry;
@@ -235,19 +211,6 @@ void BM_TraceSpanDisabled(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TraceSpanDisabled);
-
-void BM_ObsScopedTimerDisabled(benchmark::State& state) {
-  obs::MetricsRegistry registry;
-  obs::Histogram& h =
-      registry.histogram("bench.timer_off", obs::latency_buckets_us());
-  obs::set_enabled(false);
-  for (auto _ : state) {
-    const obs::ScopedTimer t(h);
-    benchmark::DoNotOptimize(&t);
-  }
-  obs::set_enabled(true);
-}
-BENCHMARK(BM_ObsScopedTimerDisabled);
 
 /// A QP shaped like the LTV-MPC subproblem at the given horizon:
 /// nu = 2h decision variables, nu box rows plus 4h banded state rows.

@@ -36,8 +36,8 @@
 #   - BM_FleetEvaluateTraced/N  metrics + the span tracer enabled (the
 #                               tracing-on overhead check_overhead.py
 #                               also holds to the < 5% budget)
-#   - BM_ObsCounterAdd etc.     obs primitive micro-costs, including
-#                               BM_ObsSketchRecord and the
+#   - BM_ObsCounterAdd,         obs primitive micro-costs: a counter
+#     BM_ObsSketchRecord        add, a sketch record and the
 #                               BM_TraceSpan{Enabled,Disabled} pair
 #   - BM_QpSolveCold/h          one-shot QP solves, items/s = ADMM iter/s
 #   - BM_QpSolveWarm/h          persistent-workspace QP solves

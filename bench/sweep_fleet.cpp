@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   opts.resume_from = cfg.get_string("resume", "");
   opts.summary_out = cfg.get_string("summary_out", "");
   // "metrics_out=fleet.json" captures campaign counters (and, in fabric
-  // mode, serve client retries) into one otem.metrics.v1 snapshot.
+  // mode, serve client retries) into one otem.metrics.v2 snapshot.
   const std::string metrics_out = cfg.get_string("metrics_out", "");
   obs::MetricsRegistry registry;
   if (!metrics_out.empty()) opts.metrics = &registry;

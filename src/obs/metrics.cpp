@@ -1,9 +1,5 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
 #include "common/error.h"
 
 namespace otem::obs {
@@ -25,21 +21,6 @@ size_t shard_index() {
   static_assert((kShards & (kShards - 1)) == 0, "kShards must be 2^k");
   return id & (kShards - 1);
 }
-
-namespace {
-void atomic_min(std::atomic<double>& slot, double v) {
-  double cur = slot.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-void atomic_max(std::atomic<double>& slot, double v) {
-  double cur = slot.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-}  // namespace
 }  // namespace detail
 
 // --- Counter ------------------------------------------------------------
@@ -49,63 +30,6 @@ std::uint64_t Counter::value() const {
   for (const detail::CounterSlot& s : shards_)
     total += s.value.load(std::memory_order_relaxed);
   return total;
-}
-
-// --- Histogram ----------------------------------------------------------
-
-Histogram::Histogram(std::vector<double> upper_edges)
-    : edges_(std::move(upper_edges)) {
-  OTEM_REQUIRE(!edges_.empty(), "histogram needs at least one bucket edge");
-  OTEM_REQUIRE(std::is_sorted(edges_.begin(), edges_.end()),
-               "histogram bucket edges must be ascending");
-  const size_t buckets = edges_.size() + 1;  // + overflow
-  // Round the per-shard slot count up to a cache line of uint64s so
-  // shards never share a line.
-  stride_ = (buckets + 7) & ~size_t{7};
-  counts_ = std::make_unique<std::atomic<std::uint64_t>[]>(
-      detail::kShards * stride_);
-  for (Summary& s : summaries_) {
-    s.min.store(std::numeric_limits<double>::infinity(),
-                std::memory_order_relaxed);
-    s.max.store(-std::numeric_limits<double>::infinity(),
-                std::memory_order_relaxed);
-  }
-}
-
-void Histogram::record(double value) {
-  if (!enabled()) return;
-  // First edge >= value: `le` semantics (inclusive upper bound).
-  const size_t bucket = static_cast<size_t>(
-      std::lower_bound(edges_.begin(), edges_.end(), value) -
-      edges_.begin());
-  const size_t shard = detail::shard_index();
-  counts_[shard * stride_ + bucket].fetch_add(1, std::memory_order_relaxed);
-  Summary& s = summaries_[shard];
-  s.n.fetch_add(1, std::memory_order_relaxed);
-  s.sum.fetch_add(value, std::memory_order_relaxed);
-  detail::atomic_min(s.min, value);
-  detail::atomic_max(s.max, value);
-}
-
-Histogram::Snapshot Histogram::snapshot() const {
-  Snapshot out;
-  out.upper_edges = edges_;
-  out.counts.assign(edges_.size() + 1, 0);
-  double min = std::numeric_limits<double>::infinity();
-  double max = -std::numeric_limits<double>::infinity();
-  for (size_t shard = 0; shard < detail::kShards; ++shard) {
-    for (size_t b = 0; b < out.counts.size(); ++b)
-      out.counts[b] +=
-          counts_[shard * stride_ + b].load(std::memory_order_relaxed);
-    const Summary& s = summaries_[shard];
-    out.count += s.n.load(std::memory_order_relaxed);
-    out.sum += s.sum.load(std::memory_order_relaxed);
-    min = std::min(min, s.min.load(std::memory_order_relaxed));
-    max = std::max(max, s.max.load(std::memory_order_relaxed));
-  }
-  out.min = out.count ? min : 0.0;
-  out.max = out.count ? max : 0.0;
-  return out;
 }
 
 // --- MetricsRegistry ----------------------------------------------------
@@ -121,19 +45,6 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   const std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = gauges_[name];
   if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
-Histogram& MetricsRegistry::histogram(
-    const std::string& name, const std::vector<double>& upper_edges) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = histograms_[name];
-  if (!slot) {
-    slot = std::make_unique<Histogram>(upper_edges);
-  } else {
-    OTEM_REQUIRE(slot->upper_edges() == upper_edges,
-                 "histogram re-registered with different edges: " + name);
-  }
   return *slot;
 }
 
@@ -154,8 +65,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot out;
   for (const auto& [name, c] : counters_) out.counters[name] = c->value();
   for (const auto& [name, g] : gauges_) out.gauges[name] = g->value();
-  for (const auto& [name, h] : histograms_)
-    out.histograms[name] = h->snapshot();
   for (const auto& [name, s] : sketches_) out.sketches[name] = s->snapshot();
   return out;
 }
@@ -165,38 +74,11 @@ MetricsRegistry& MetricsRegistry::global() {
   return registry;
 }
 
-// --- bucket ladders -----------------------------------------------------
-
-namespace {
-std::vector<double> ladder_1_2_5(double lo, double hi) {
-  std::vector<double> edges;
-  for (double decade = lo; decade <= hi * 1.0001; decade *= 10.0)
-    for (double m : {1.0, 2.0, 5.0})
-      if (m * decade <= hi * 1.0001) edges.push_back(m * decade);
-  return edges;
-}
-}  // namespace
-
-std::vector<double> latency_buckets_us() {
-  return ladder_1_2_5(1.0, 1e7);
-}
-
-std::vector<double> iteration_buckets() {
-  auto edges = ladder_1_2_5(1.0, 5000.0);
-  return edges;
-}
-
-std::vector<double> residual_buckets() {
-  std::vector<double> edges;
-  for (int e = -10; e <= 0; ++e) edges.push_back(std::pow(10.0, e));
-  return edges;
-}
-
 // --- JSON rendering -----------------------------------------------------
 
 Json snapshot_to_json(const MetricsSnapshot& snapshot) {
   Json root = Json::object();
-  root.set("schema", "otem.metrics.v1");
+  root.set("schema", "otem.metrics.v2");
 
   Json counters = Json::object();
   for (const auto& [name, value] : snapshot.counters)
@@ -206,29 +88,6 @@ Json snapshot_to_json(const MetricsSnapshot& snapshot) {
   Json gauges = Json::object();
   for (const auto& [name, value] : snapshot.gauges) gauges.set(name, value);
   root.set("gauges", std::move(gauges));
-
-  Json histograms = Json::object();
-  for (const auto& [name, h] : snapshot.histograms) {
-    Json hj = Json::object();
-    hj.set("count", static_cast<double>(h.count));
-    hj.set("sum", h.sum);
-    hj.set("min", h.min);
-    hj.set("max", h.max);
-    hj.set("mean", h.count ? h.sum / static_cast<double>(h.count) : 0.0);
-    Json buckets = Json::array();
-    for (size_t b = 0; b < h.counts.size(); ++b) {
-      Json bucket = Json::object();
-      if (b < h.upper_edges.size())
-        bucket.set("le", h.upper_edges[b]);
-      else
-        bucket.set("le", "inf");
-      bucket.set("count", static_cast<double>(h.counts[b]));
-      buckets.push(std::move(bucket));
-    }
-    hj.set("buckets", std::move(buckets));
-    histograms.set(name, std::move(hj));
-  }
-  root.set("histograms", std::move(histograms));
 
   Json sketches = Json::object();
   for (const auto& [name, s] : snapshot.sketches) {

@@ -1,14 +1,16 @@
 // metrics.h — thread-safe instrumentation registry.
 //
-// A MetricsRegistry owns named counters, gauges and fixed-bucket
-// histograms. Counters and histograms are SHARDED: each instrument
-// keeps kShards cache-line-separated atomic slots and a thread writes
-// the slot picked by its thread-local shard id, so concurrent missions
-// on the exec::ThreadPool update the same instrument without
-// contending on one cache line. snapshot() aggregates the shards into
-// plain numbers; totals are exact (integers summed) whenever the
-// registry is quiescent, so `threads=N` produces the same snapshot as
-// `threads=1` for the same work.
+// A MetricsRegistry owns named counters, gauges and quantile sketches
+// (obs/sketch.h). Counters and sketches are SHARDED: each instrument
+// keeps kShards cache-line-separated slots and a thread writes the slot
+// picked by its thread-local shard id, so concurrent missions on the
+// exec::ThreadPool update the same instrument without contending on one
+// cache line. snapshot() aggregates the shards into plain numbers. What
+// is exact once the registry is quiescent, at any thread count: counter
+// totals, sketch counts, min and max, and the sum of integer samples.
+// Sketch quantiles hold within the sketch's rank error (<= 2 % at the
+// default k, pinned by tests/test_trace.cpp): shards follow threads, so
+// the merged sketch depends on how samples fell across them.
 //
 // Gauges are last-write-wins (a single atomic slot, no sharding) —
 // they record a level, not a rate.
@@ -27,7 +29,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "common/json.h"
 #include "obs/sketch.h"
@@ -91,53 +92,18 @@ class Gauge {
   detail::GaugeSlot value_;
 };
 
-/// Fixed-bucket histogram: `upper_edges` are inclusive upper bounds in
-/// ascending order, plus one implicit overflow bucket. record() also
-/// tracks count/sum/min/max for summary statistics.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> upper_edges);
-
-  void record(double value);
-
-  const std::vector<double>& upper_edges() const { return edges_; }
-
-  struct Snapshot {
-    std::vector<double> upper_edges;
-    std::vector<std::uint64_t> counts;  ///< edges.size() + 1 (overflow last)
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;  ///< 0 when count == 0
-    double max = 0.0;
-  };
-  Snapshot snapshot() const;
-
- private:
-  struct alignas(64) Summary {
-    std::atomic<std::uint64_t> n{0};
-    std::atomic<double> sum{0.0};
-    std::atomic<double> min{0.0};  ///< +inf until the first record
-    std::atomic<double> max{0.0};  ///< -inf until the first record
-  };
-
-  std::vector<double> edges_;
-  size_t stride_ = 0;  ///< bucket slots per shard, cache-line aligned
-  std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;  ///< kShards*stride_
-  Summary summaries_[detail::kShards];
-};
-
 /// Aggregated view of a whole registry; maps keep names sorted so the
 /// JSON rendering is byte-stable for a given set of values.
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
-  std::map<std::string, Histogram::Snapshot> histograms;
   std::map<std::string, Sketch::Snapshot> sketches;
 };
 
 /// Named instrument registry. Lookup/creation takes a mutex (do it once
 /// per run, not per step); the returned references stay valid for the
-/// registry's lifetime and their record paths are lock-free.
+/// registry's lifetime. Counter and gauge records are lock-free; a
+/// sketch record takes only its own shard's mutex.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -146,11 +112,6 @@ class MetricsRegistry {
 
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  /// Registers the histogram on first use; a second call with the same
-  /// name returns the existing instrument (edges must match — throws
-  /// otem::SimError otherwise).
-  Histogram& histogram(const std::string& name,
-                       const std::vector<double>& upper_edges);
   /// Mergeable quantile sketch (obs/sketch.h); k must match on
   /// re-registration (throws otem::SimError otherwise).
   Sketch& sketch(const std::string& name, size_t k = kDefaultSketchK);
@@ -164,26 +125,13 @@ class MetricsRegistry {
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, std::unique_ptr<Sketch>> sketches_;
 };
 
-/// Common bucket ladders.
-/// 1-2-5 ladder covering [1 us, 10 s] — the latency default.
-std::vector<double> latency_buckets_us();
-/// 1-2-5 ladder covering [1, 5000] — iteration counts.
-std::vector<double> iteration_buckets();
-/// Powers of ten covering [1e-10, 1] — solver residuals.
-std::vector<double> residual_buckets();
-
-/// Stable JSON rendering of a snapshot (schema "otem.metrics.v1"):
+/// Stable JSON rendering of a snapshot (schema "otem.metrics.v2"):
 /// {"schema": ..., "counters": {name: n}, "gauges": {name: v},
-///  "histograms": {name: {count,sum,min,max,mean,
-///                        buckets:[{le,count}...]}},
 ///  "sketches": {name: {count,sum,min,max,mean,p50,p95,p99,p999}}}
-/// Bucket objects carry their inclusive upper edge `le`; the overflow
-/// bucket's edge is the string "inf". Names are sorted. The "sketches"
-/// section is additive (readers of the pre-sketch v1 shape ignore it).
+/// Names are sorted; an empty section renders as {}.
 Json snapshot_to_json(const MetricsSnapshot& snapshot);
 
 /// snapshot() + snapshot_to_json() + write to `path`; throws

@@ -17,8 +17,11 @@
 // shard id the counters use, so concurrent writers virtually never
 // contend. collect() merges the shards IN SHARD ORDER into one
 // QuantileSketch; snapshot() derives the p50/p95/p99/p999 summary that
-// otem.metrics.v1 snapshots embed. The obs kill switches apply:
-// record() is a no-op when set_enabled(false) or OTEM_OBS_DISABLED.
+// otem.metrics.v2 snapshots embed. Which shard a sample lands in
+// follows its thread, so across thread counts only count, min, max and
+// the sum of integer samples are exact; quantiles agree within the
+// rank error. The obs kill switches apply: record() is a no-op when
+// set_enabled(false) or OTEM_OBS_DISABLED.
 #pragma once
 
 #include <cstddef>

@@ -1,16 +1,8 @@
-// timer.h — RAII wall-clock probes feeding latency histograms.
-//
-// ScopedTimer samples a steady clock on construction and records the
-// elapsed microseconds into a Histogram on destruction. The enabled()
-// check happens once, at construction: when observability is off (or
-// compiled out with OTEM_OBS_DISABLED) the timer holds a null target,
-// touches no clock, and the destructor is a branch on a register — the
-// disabled path costs nothing measurable.
+// timer.h — the microsecond steady clock behind sampled step times,
+// trace spans and serve latencies.
 #pragma once
 
 #include <chrono>
-
-#include "obs/metrics.h"
 
 namespace otem::obs {
 
@@ -20,26 +12,5 @@ inline double now_us() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram& target)
-      : target_(enabled() ? &target : nullptr),
-        start_us_(target_ ? now_us() : 0.0) {}
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  ~ScopedTimer() {
-    if (target_) target_->record(now_us() - start_us_);
-  }
-
-  /// Elapsed so far [us]; 0 when disabled.
-  double elapsed_us() const { return target_ ? now_us() - start_us_ : 0.0; }
-
- private:
-  Histogram* target_;
-  double start_us_;
-};
 
 }  // namespace otem::obs

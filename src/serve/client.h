@@ -26,7 +26,7 @@
 // queueing unbounded work — a refusal the client is EXPECTED to absorb.
 // request_with_retry() does exactly that: capped exponential backoff on
 // overload refusals, every retry counted under "serve.client_retries"
-// in the caller's otem.metrics.v1 registry. The campaign runner's
+// in the caller's otem.metrics.v2 registry. The campaign runner's
 // serve-fabric dispatch and `otem_cli request` both route through it.
 #pragma once
 

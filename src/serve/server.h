@@ -49,10 +49,10 @@
 // cancelling in-flight work.
 //
 // Observability (registry(), all under serve.*): queue depth gauge,
-// request latency and queue-wait histograms AND quantile sketches
-// (latency covers every run completion path — success, cache hit and
-// error — and therefore includes queue wait), request counters for
-// the eight protocol methods (unknown ones count only as an error),
+// request latency and queue-wait quantile sketches (latency covers
+// every run completion path — success, cache hit and error — and
+// therefore includes queue wait), request counters for the eight
+// protocol methods (unknown ones count only as an error),
 // per-code error counters, cache hit/miss/coalesced/eviction
 // counters and byte/entry gauges, connection counter. The `stats`
 // method returns the live latency/queue-wait quantiles plus per-name
@@ -103,7 +103,7 @@ struct ServerOptions {
   /// TTL sweep.
   double session_ttl_s = 300.0;
   /// When non-empty, the final metrics snapshot is written here on
-  /// shutdown (schema otem.metrics.v1).
+  /// shutdown (schema otem.metrics.v2).
   std::string metrics_out;
   /// When non-empty, span tracing is enabled for the daemon's lifetime
   /// and a Chrome trace (schema otem.trace.v1) is written here on
@@ -225,7 +225,7 @@ class Server {
   std::atomic<int> bound_port_{0};
 
   /// Request latency (frame entry to reply) and pool queue wait: the
-  /// p50/p95/p99 of the `stats` method and the otem.metrics.v1
+  /// p50/p95/p99 of the `stats` method and the otem.metrics.v2
   /// "sketches" section.
   obs::Sketch& latency_sketch_;
   obs::Sketch& queue_wait_sketch_;

@@ -21,24 +21,16 @@ DiagnosticsSink::Instruments::Instruments(obs::MetricsRegistry& registry,
           registry.counter(prefix + "solver.qp_polish_unsettled")),
       qloss(registry.gauge(prefix + "sim.qloss_percent")),
       duration(registry.gauge(prefix + "sim.duration_s")),
-      step_latency_us(registry.histogram(prefix + "sim.step_latency_us",
-                                         obs::latency_buckets_us())),
-      solve_latency_us(registry.histogram(prefix + "solver.latency_us",
-                                          obs::latency_buckets_us())),
-      iterations(registry.histogram(prefix + "solver.iterations",
-                                    obs::iteration_buckets())),
-      qp_iterations(registry.histogram(prefix + "solver.qp_iterations",
-                                       obs::iteration_buckets())),
+      step_latency_us(registry.sketch(prefix + "sim.step_latency_us")),
+      solve_latency_us(registry.sketch(prefix + "solver.latency_us")),
+      iterations(registry.sketch(prefix + "solver.iterations")),
+      qp_iterations(registry.sketch(prefix + "solver.qp_iterations")),
       qp_iterations_cold(
-          registry.histogram(prefix + "solver.qp_iterations_cold",
-                             obs::iteration_buckets())),
-      primal_residual(registry.histogram(prefix + "solver.primal_residual",
-                                         obs::residual_buckets())),
-      dual_residual(registry.histogram(prefix + "solver.dual_residual",
-                                       obs::residual_buckets())),
+          registry.sketch(prefix + "solver.qp_iterations_cold")),
+      primal_residual(registry.sketch(prefix + "solver.primal_residual")),
+      dual_residual(registry.sketch(prefix + "solver.dual_residual")),
       constraint_violation(
-          registry.histogram(prefix + "solver.constraint_violation",
-                             obs::residual_buckets())) {}
+          registry.sketch(prefix + "solver.constraint_violation")) {}
 
 void DiagnosticsSink::begin(const RunContext& ctx) {
   dt_ = ctx.dt;
@@ -46,8 +38,8 @@ void DiagnosticsSink::begin(const RunContext& ctx) {
 }
 
 void DiagnosticsSink::record(const StepSample& sample) {
-  // Scalars go into plain locals — the shared atomic instruments are
-  // only touched from end() and from the histogram records below.
+  // Scalars go into plain locals — the shared instruments are only
+  // touched from end() and from the sketch records below.
   // qloss is cumulative, so the latest delivered sample (at worst the
   // final step, which is always eventful) carries the run total.
   local_.qloss_percent = sample.qloss_cum_percent;
@@ -68,13 +60,13 @@ void DiagnosticsSink::record(const StepSample& sample) {
   local_.qp_polish_unsettled += s.qp_polish_unsettled;
   instruments_.solve_latency_us.record(s.solve_time_us);
   // The two transcriptions report different inner-loop counts; record
-  // whichever ran so the histograms stay per-solver-family.
+  // whichever ran so the sketches stay per-solver-family.
   if (s.iterations)
     instruments_.iterations.record(static_cast<double>(s.iterations));
   if (s.qp_iterations) {
     instruments_.qp_iterations.record(static_cast<double>(s.qp_iterations));
     // The cold slice: fallback steps ran with no warm start, so the
-    // gap between this histogram's mean and the overall mean is the
+    // gap between this sketch's mean and the overall mean is the
     // iteration saving the warm start buys.
     if (s.fallback)
       instruments_.qp_iterations_cold.record(

@@ -2,7 +2,7 @@
 //
 // DiagnosticsSink turns the per-step StepSample stream into
 // distributions inside an obs::MetricsRegistry: solver iteration /
-// residual / latency histograms, step-loop timings, fallback and
+// residual / latency sketches, step-loop timings, fallback and
 // convergence counters. It BORROWS the registry, so any number of
 // concurrent runs (a serve daemon's requests) can aggregate into one
 // registry — the sharded instruments make that safe — while a second
@@ -31,7 +31,7 @@ namespace otem::sim {
 ///               solver.kkt_refactorizations, solver.stage_block_ops,
 ///               solver.qp_polish_hits, solver.qp_polish_unsettled
 ///   gauges      sim.qloss_percent, sim.duration_s
-///   histograms  sim.step_latency_us, solver.latency_us,
+///   sketches    sim.step_latency_us, solver.latency_us,
 ///               solver.iterations, solver.qp_iterations,
 ///               solver.qp_iterations_cold, solver.primal_residual,
 ///               solver.dual_residual, solver.constraint_violation
@@ -67,19 +67,19 @@ class DiagnosticsSink final : public StepSink {
     obs::Counter& qp_polish_unsettled;
     obs::Gauge& qloss;
     obs::Gauge& duration;
-    obs::Histogram& step_latency_us;
-    obs::Histogram& solve_latency_us;
-    obs::Histogram& iterations;
-    obs::Histogram& qp_iterations;
-    obs::Histogram& qp_iterations_cold;
-    obs::Histogram& primal_residual;
-    obs::Histogram& dual_residual;
-    obs::Histogram& constraint_violation;
+    obs::Sketch& step_latency_us;
+    obs::Sketch& solve_latency_us;
+    obs::Sketch& iterations;
+    obs::Sketch& qp_iterations;
+    obs::Sketch& qp_iterations_cold;
+    obs::Sketch& primal_residual;
+    obs::Sketch& dual_residual;
+    obs::Sketch& constraint_violation;
   };
 
   /// Registers (or finds) the instruments in `registry` eagerly, so the
-  /// record path is lock-free. `prefix` namespaces the metric names
-  /// ("otem.", ...).
+  /// record path takes no registry lock. `prefix` namespaces the metric
+  /// names ("otem.", ...).
   explicit DiagnosticsSink(obs::MetricsRegistry& registry,
                            const std::string& prefix = "")
       : instruments_(registry, prefix) {}

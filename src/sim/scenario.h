@@ -66,7 +66,7 @@ struct Scenario {
   std::string trace_csv;  ///< when non-empty, stream telemetry here
 
   /// When non-empty, attach a DiagnosticsSink and write the metrics
-  /// snapshot (schema otem.metrics.v1) here after the run.
+  /// snapshot (schema otem.metrics.v2) here after the run.
   std::string metrics_out;
   /// When non-empty, stream per-step events (schema otem.events.v2)
   /// here; events_every decimates the step events.

@@ -1,15 +1,16 @@
 // Tests for the observability layer: the sharded metrics registry
-// (exact cross-thread totals), histogram `le` bucket semantics, the
-// enabled() kill switch, scoped timers, the JSONL writer, the
-// DiagnosticsSink / JsonlEventSink step sinks, CSV stream-failure
-// detection, and the thread-safe logger.
+// (exact cross-thread totals), the enabled() kill switch, the JSONL
+// writer, the DiagnosticsSink / JsonlEventSink step sinks, CSV
+// stream-failure detection, and the thread-safe logger. The quantile
+// sketch itself is tested in tests/test_trace.cpp.
 //
-// Two golden tests pin the externally visible schemas byte-for-byte:
-// "otem.metrics.v1" (metrics_out= snapshots) and "otem.events.v2"
+// Golden tests pin the externally visible schemas byte-for-byte:
+// "otem.metrics.v2" (metrics_out= snapshots) and "otem.events.v2"
 // (events_jsonl= step lines). Downstream tooling parses these files —
 // a change here is a breaking change and must bump the schema string.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <regex>
@@ -24,7 +25,7 @@
 #include "exec/thread_pool.h"
 #include "obs/jsonl.h"
 #include "obs/metrics.h"
-#include "obs/timer.h"
+#include "rank_error.h"
 #include "sim/obs_sink.h"
 #include "sim/simulator.h"
 #include "sim/step_sink.h"
@@ -77,73 +78,6 @@ TEST(Metrics, CounterExactAcrossThreads) {
   EXPECT_EQ(registry.snapshot().counters.at("hits"), kTasks * kAddsPerTask);
 }
 
-TEST(Metrics, HistogramMergeAcrossThreadsMatchesSerial) {
-  const std::vector<double> edges = obs::iteration_buckets();
-  obs::MetricsRegistry parallel_reg;
-  obs::Histogram& parallel_hist =
-      parallel_reg.histogram("iters", edges);
-  constexpr size_t kTasks = 64;
-  exec::parallel_for(
-      kTasks,
-      [&](size_t) {
-        for (int v = 1; v <= 100; ++v)
-          parallel_hist.record(static_cast<double>(v));
-      },
-      8);
-
-  obs::MetricsRegistry serial_reg;
-  obs::Histogram& serial_hist = serial_reg.histogram("iters", edges);
-  for (size_t t = 0; t < kTasks; ++t)
-    for (int v = 1; v <= 100; ++v)
-      serial_hist.record(static_cast<double>(v));
-
-  const obs::Histogram::Snapshot p = parallel_hist.snapshot();
-  const obs::Histogram::Snapshot s = serial_hist.snapshot();
-  EXPECT_EQ(p.count, kTasks * 100);
-  EXPECT_EQ(p.count, s.count);
-  EXPECT_DOUBLE_EQ(p.sum, s.sum);  // integers: fp addition is exact
-  EXPECT_DOUBLE_EQ(p.min, 1.0);
-  EXPECT_DOUBLE_EQ(p.max, 100.0);
-  EXPECT_EQ(p.counts, s.counts);
-}
-
-TEST(Metrics, HistogramBucketEdgesAreInclusiveUpperBounds) {
-  obs::Histogram h({1.0, 10.0, 100.0});
-  h.record(1.0);    // == first edge -> bucket 0 (le semantics)
-  h.record(1.001);  // just above    -> bucket 1
-  h.record(10.0);   // == second edge -> bucket 1
-  h.record(100.0);  // == last edge   -> bucket 2
-  h.record(100.5);  // above all edges -> overflow
-  const obs::Histogram::Snapshot s = h.snapshot();
-  ASSERT_EQ(s.counts.size(), 4u);  // 3 edges + overflow
-  EXPECT_EQ(s.counts[0], 1u);
-  EXPECT_EQ(s.counts[1], 2u);
-  EXPECT_EQ(s.counts[2], 1u);
-  EXPECT_EQ(s.counts[3], 1u);
-  EXPECT_EQ(s.count, 5u);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 100.5);
-}
-
-TEST(Metrics, HistogramRejectsBadEdges) {
-  EXPECT_THROW(obs::Histogram({}), SimError);
-  EXPECT_THROW(obs::Histogram({2.0, 1.0}), SimError);
-  obs::MetricsRegistry registry;
-  registry.histogram("h", {1.0, 2.0});
-  EXPECT_THROW(registry.histogram("h", {1.0, 3.0}), SimError);
-  // Same edges: returns the existing instrument.
-  EXPECT_NO_THROW(registry.histogram("h", {1.0, 2.0}));
-}
-
-TEST(Metrics, EmptyHistogramSnapshotIsZeroed) {
-  obs::Histogram h({1.0});
-  const obs::Histogram::Snapshot s = h.snapshot();
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_DOUBLE_EQ(s.sum, 0.0);
-  EXPECT_DOUBLE_EQ(s.min, 0.0);
-  EXPECT_DOUBLE_EQ(s.max, 0.0);
-}
-
 TEST(Metrics, GaugeIsLastWriteWins) {
   obs::MetricsRegistry registry;
   obs::Gauge& g = registry.gauge("level");
@@ -158,36 +92,14 @@ TEST(Metrics, DisabledPathRecordsNothing) {
   obs::MetricsRegistry registry;
   obs::Counter& c = registry.counter("c");
   obs::Gauge& g = registry.gauge("g");
-  obs::Histogram& h = registry.histogram("h", {1.0, 10.0});
   obs::set_enabled(false);
   c.add(7);
   g.set(3.0);
-  h.record(5.0);
-  {
-    const obs::ScopedTimer t(h);
-    EXPECT_DOUBLE_EQ(t.elapsed_us(), 0.0);  // no clock when disabled
-  }
   EXPECT_EQ(c.value(), 0u);
   EXPECT_DOUBLE_EQ(g.value(), 0.0);
-  EXPECT_EQ(h.snapshot().count, 0u);
   obs::set_enabled(true);
   c.add(7);
   EXPECT_EQ(c.value(), 7u);
-}
-
-TEST(Metrics, ScopedTimerRecordsOneSample) {
-  obs::MetricsRegistry registry;
-  obs::Histogram& h =
-      registry.histogram("lat_us", obs::latency_buckets_us());
-  {
-    const obs::ScopedTimer t(h);
-    volatile double sink = 0.0;
-    for (int i = 0; i < 1000; ++i) sink = sink + static_cast<double>(i);
-    EXPECT_GE(t.elapsed_us(), 0.0);
-  }
-  const obs::Histogram::Snapshot s = h.snapshot();
-  EXPECT_EQ(s.count, 1u);
-  EXPECT_GE(s.sum, 0.0);
 }
 
 // --- golden schemas -----------------------------------------------------
@@ -196,28 +108,25 @@ TEST(Metrics, SnapshotJsonGoldenSchema) {
   obs::MetricsRegistry registry;
   registry.counter("runs").add(3);
   registry.gauge("temp_k").set(300.5);
-  obs::Histogram& h = registry.histogram("lat", {1.0, 10.0});
-  h.record(0.5);
-  h.record(2.0);
-  h.record(9.5);
+  obs::Sketch& s = registry.sketch("lat");
+  s.record(0.5);
+  s.record(2.0);
+  s.record(9.5);
   const std::string got =
       obs::snapshot_to_json(registry.snapshot()).dump(0);
   // Pinned byte-for-byte: this is the metrics_out= contract
-  // ("otem.metrics.v1"). Names sorted, buckets as {le,count} with the
-  // overflow edge spelled "inf".
+  // ("otem.metrics.v2"). Names sorted; three sections, with every
+  // distribution a sketch.
   const std::string want =
-      "{\"schema\":\"otem.metrics.v1\","
+      "{\"schema\":\"otem.metrics.v2\","
       "\"counters\":{\"runs\":3},"
       "\"gauges\":{\"temp_k\":300.5},"
-      "\"histograms\":{\"lat\":{"
+      "\"sketches\":{\"lat\":{"
       "\"count\":3,\"sum\":12,\"min\":0.5,\"max\":9.5,\"mean\":4,"
-      "\"buckets\":[{\"le\":1,\"count\":1},{\"le\":10,\"count\":2},"
-      "{\"le\":\"inf\",\"count\":0}]}},"
-      "\"sketches\":{}}";
+      "\"p50\":2,\"p95\":9.5,\"p99\":9.5,\"p999\":9.5}}}";
   EXPECT_EQ(got, want);
 }
 
-#ifndef OTEM_OBS_DISABLED
 TEST(Metrics, SnapshotJsonGoldenSketchSection) {
   obs::MetricsRegistry registry;
   obs::Sketch& s = registry.sketch("lat_us");
@@ -227,19 +136,16 @@ TEST(Metrics, SnapshotJsonGoldenSketchSection) {
   // Small enough that the sketch stores every sample exactly: the
   // quantile walk returns the first value whose cumulative weight
   // reaches q*n, so p50 of {1,2,3,4} is 2 and the tail quantiles hit
-  // the max. Pinned byte-for-byte alongside the main golden above —
-  // the "sketches" section is part of the otem.metrics.v1 contract.
+  // the max. Empty sections still render, as {}.
   const std::string want =
-      "{\"schema\":\"otem.metrics.v1\","
+      "{\"schema\":\"otem.metrics.v2\","
       "\"counters\":{},"
       "\"gauges\":{},"
-      "\"histograms\":{},"
       "\"sketches\":{\"lat_us\":{"
       "\"count\":4,\"sum\":10,\"min\":1,\"max\":4,\"mean\":2.5,"
       "\"p50\":2,\"p95\":4,\"p99\":4,\"p999\":4}}}";
   EXPECT_EQ(got, want);
 }
-#endif
 
 TEST(Events, StepEventGoldenLine) {
   core::StepRecord rec;
@@ -323,6 +229,24 @@ TEST(Jsonl, WriterThrowsWhenPathCannotOpen) {
 
 // --- sinks end-to-end ---------------------------------------------------
 
+/// Keeps every step's SolveDiagnostics: the test-local record of what
+/// DiagnosticsSink was offered.
+class SolveLog final : public sim::StepSink {
+ public:
+  void record(const sim::StepSample& sample) override {
+    solves.push_back(sample.rec.solve);
+  }
+  std::vector<core::SolveDiagnostics> solves;
+};
+
+/// The instrument names in one section of a MetricsSnapshot.
+template <typename Section>
+std::set<std::string> names_of(const Section& section) {
+  std::set<std::string> out;
+  for (const auto& entry : section) out.insert(entry.first);
+  return out;
+}
+
 TEST(DiagnosticsSink, CapturesSolverDiagnosticsEndToEnd) {
   // Cheap LTV-OTEM setup: small horizon, short synthetic mission. The
   // point is that every step's SolveDiagnostics lands in the registry,
@@ -341,35 +265,88 @@ TEST(DiagnosticsSink, CapturesSolverDiagnosticsEndToEnd) {
   sim::DiagnosticsSink diag(registry);
   const std::string events = temp_path("events.jsonl");
   sim::JsonlEventSink jsonl(events, 10);
+  SolveLog log;
   sim::RunOptions ropt;
   ropt.record_trace = false;
   sim::Simulator(spec).run_with_sinks(*methodology, load, ropt,
-                                      {&diag, &jsonl});
+                                      {&diag, &jsonl, &log});
 
   const obs::MetricsSnapshot snap = registry.snapshot();
+  // The catalogue documented in sim/obs_sink.h, and nothing else.
+  EXPECT_EQ(names_of(snap.counters),
+            (std::set<std::string>{
+                "sim.steps", "sim.infeasible_steps", "solver.solves",
+                "solver.fallbacks", "solver.nonconverged",
+                "solver.qp_rho_updates", "solver.qp_warm_hits",
+                "solver.kkt_refactorizations", "solver.stage_block_ops",
+                "solver.qp_polish_hits", "solver.qp_polish_unsettled"}));
+  EXPECT_EQ(names_of(snap.gauges),
+            (std::set<std::string>{"sim.qloss_percent", "sim.duration_s"}));
+  EXPECT_EQ(names_of(snap.sketches),
+            (std::set<std::string>{
+                "sim.step_latency_us", "solver.latency_us",
+                "solver.iterations", "solver.qp_iterations",
+                "solver.qp_iterations_cold", "solver.primal_residual",
+                "solver.dual_residual", "solver.constraint_violation"}));
+
   EXPECT_EQ(snap.counters.at("sim.steps"), steps);
   EXPECT_EQ(snap.counters.at("solver.solves"), steps);
   // Timing is sampled at the gcd of the attached sinks' strides:
-  // gcd(DiagnosticsSink=16, JsonlEventSink every=10) = 2.
-  EXPECT_EQ(snap.histograms.at("sim.step_latency_us").count,
+  // gcd(DiagnosticsSink=64, JsonlEventSink every=10) = 2.
+  EXPECT_EQ(snap.sketches.at("sim.step_latency_us").count,
             (steps + 1) / 2);
-  EXPECT_EQ(snap.histograms.at("solver.latency_us").count, steps);
-  EXPECT_GT(snap.histograms.at("solver.latency_us").sum, 0.0);
-  EXPECT_GT(snap.histograms.at("solver.qp_iterations").count, 0u);
-  EXPECT_GT(snap.histograms.at("solver.primal_residual").count, 0u);
+  EXPECT_EQ(snap.sketches.at("solver.latency_us").count, steps);
+  EXPECT_GT(snap.sketches.at("solver.latency_us").sum, 0.0);
+
+  // Every distribution counts exactly the steps its record condition
+  // selects from the StepRecord stream.
+  ASSERT_EQ(log.solves.size(), steps);
+  std::uint64_t iterations = 0, cold = 0, primal = 0, dual = 0,
+                violation = 0;
+  std::vector<double> qp_iterations;
+  for (const core::SolveDiagnostics& s : log.solves) {
+    ASSERT_TRUE(s.present);
+    if (s.iterations) ++iterations;
+    if (s.qp_iterations) {
+      qp_iterations.push_back(static_cast<double>(s.qp_iterations));
+      if (s.fallback) ++cold;
+    }
+    if (s.primal_residual > 0.0) ++primal;
+    if (s.dual_residual > 0.0) ++dual;
+    if (s.constraint_violation > 0.0) ++violation;
+  }
+  const obs::Sketch::Snapshot& qp_all =
+      snap.sketches.at("solver.qp_iterations");
+  const obs::Sketch::Snapshot& qp_cold =
+      snap.sketches.at("solver.qp_iterations_cold");
+  EXPECT_EQ(snap.sketches.at("solver.iterations").count, iterations);
+  EXPECT_EQ(qp_all.count, qp_iterations.size());
+  EXPECT_EQ(qp_cold.count, cold);
+  EXPECT_EQ(snap.sketches.at("solver.primal_residual").count, primal);
+  EXPECT_EQ(snap.sketches.at("solver.dual_residual").count, dual);
+  EXPECT_EQ(snap.sketches.at("solver.constraint_violation").count,
+            violation);
+  EXPECT_GT(qp_all.count, 0u);
+  EXPECT_GT(primal, 0u);
+
+  // Quantiles hold within the sketch's rank error against the exact
+  // quantiles of the same values; the integer sum is exact.
+  std::sort(qp_iterations.begin(), qp_iterations.end());
+  EXPECT_LE(test::rank_error(qp_iterations, 0.50, qp_all.p50), 0.02);
+  EXPECT_LE(test::rank_error(qp_iterations, 0.99, qp_all.p99), 0.02);
+  double qp_sum = 0.0;
+  for (double v : qp_iterations) qp_sum += v;
+  EXPECT_EQ(qp_all.sum, qp_sum);
+
   // Warm-start telemetry: the first step cold-starts (1 fallback, its
-  // qp_iterations land in the cold histogram), every later SQP round is
+  // qp_iterations land in the cold slice), every later SQP round is
   // warm, and each solve pays at least one factorisation per round.
   EXPECT_EQ(snap.counters.at("solver.fallbacks"), 1u);
-  EXPECT_EQ(snap.histograms.at("solver.qp_iterations_cold").count, 1u);
+  EXPECT_EQ(qp_cold.count, 1u);
   EXPECT_GT(snap.counters.at("solver.qp_warm_hits"), steps);
   EXPECT_GE(snap.counters.at("solver.kkt_refactorizations"), steps);
   // The cold step must not out-iterate the average warm step — the
   // whole point of the warm start.
-  const obs::Histogram::Snapshot& qp_all =
-      snap.histograms.at("solver.qp_iterations");
-  const obs::Histogram::Snapshot& qp_cold =
-      snap.histograms.at("solver.qp_iterations_cold");
   EXPECT_GT(qp_cold.sum / static_cast<double>(qp_cold.count),
             qp_all.sum / static_cast<double>(qp_all.count));
   EXPECT_DOUBLE_EQ(snap.gauges.at("sim.duration_s"),
@@ -444,9 +421,9 @@ TEST(DiagnosticsSink, ReactiveBaselineHasNoSolverMetrics) {
   const obs::MetricsSnapshot snap = registry.snapshot();
   EXPECT_EQ(snap.counters.at("sim.steps"), load.size());
   EXPECT_EQ(snap.counters.at("solver.solves"), 0u);
-  EXPECT_EQ(snap.histograms.at("solver.latency_us").count, 0u);
+  EXPECT_EQ(snap.sketches.at("solver.latency_us").count, 0u);
   // Alone, DiagnosticsSink samples one step in kTimingStride.
-  EXPECT_EQ(snap.histograms.at("sim.step_latency_us").count,
+  EXPECT_EQ(snap.sketches.at("sim.step_latency_us").count,
             (load.size() + sim::DiagnosticsSink::kTimingStride - 1) /
                 sim::DiagnosticsSink::kTimingStride);
 }

@@ -147,7 +147,15 @@ TEST(ServeProtocol, MetricsReturnsASnapshot) {
   const std::string resp = server.handle_line(
       "{\"schema\":\"otem.serve.v1\",\"method\":\"metrics\"}");
   EXPECT_NE(resp.find("\"ok\":true"), std::string::npos) << resp;
-  EXPECT_NE(resp.find("otem.metrics.v1"), std::string::npos) << resp;
+  EXPECT_NE(resp.find("otem.metrics.v2"), std::string::npos) << resp;
+  // The run diagnostics registered at startup are sketches, zeroed
+  // until a run records into them; v2 has no histogram section.
+  EXPECT_NE(resp.find("\"solver.qp_iterations\":{\"count\":0,\"sum\":0,"
+                      "\"min\":0,\"max\":0,\"mean\":0,\"p50\":0,"
+                      "\"p95\":0,\"p99\":0,\"p999\":0}"),
+            std::string::npos)
+      << resp;
+  EXPECT_EQ(resp.find("\"histograms\""), std::string::npos) << resp;
 }
 
 // --- malformed frames (connection-level behaviour is the caller's; the

@@ -11,8 +11,9 @@
 //   - merge associativity: any grouping of the same chunk sequence
 //     agrees exactly on count/sum/min/max and within rank tolerance on
 //     quantiles;
-//   - the Sketch registry instrument: exact totals under concurrent
-//     recording, kill-switch no-op, k-mismatch re-registration refused;
+//   - the Sketch registry instrument: exact count/min/max and integer
+//     sum under concurrent recording, kill-switch no-op, k-mismatch
+//     re-registration refused;
 //   - the span tracer: disabled-by-default records nothing, RAII spans
 //     reconstruct parent/child nesting, trace_emit() attaches to the
 //     active span, rings cap at kTraceRingCapacity newest-wins,
@@ -37,6 +38,7 @@
 #include "obs/metrics.h"
 #include "obs/sketch.h"
 #include "obs/trace.h"
+#include "rank_error.h"
 
 namespace otem {
 namespace {
@@ -55,26 +57,11 @@ double exact_quantile(std::vector<double> sorted, double q) {
   return sorted[idx];
 }
 
-/// Rank error of `estimate` for the q-quantile of `sorted`, as a
-/// fraction of n: how far the estimate's rank interval is from q*n.
-double rank_error(const std::vector<double>& sorted, double q,
-                  double estimate) {
-  const double n = static_cast<double>(sorted.size());
-  const auto lo = std::lower_bound(sorted.begin(), sorted.end(), estimate);
-  const auto hi = std::upper_bound(sorted.begin(), sorted.end(), estimate);
-  const double rank_lo = static_cast<double>(lo - sorted.begin());
-  const double rank_hi = static_cast<double>(hi - sorted.begin());
-  const double target = q * n;
-  if (target < rank_lo) return (rank_lo - target) / n;
-  if (target > rank_hi) return (target - rank_hi) / n;
-  return 0.0;
-}
-
 void check_rank_errors(const obs::QuantileSketch& sketch,
                        std::vector<double> values, double tol) {
   std::sort(values.begin(), values.end());
   for (double q : {0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999}) {
-    const double err = rank_error(values, q, sketch.quantile(q));
+    const double err = test::rank_error(values, q, sketch.quantile(q));
     EXPECT_LE(err, tol) << "q=" << q;
   }
 }
@@ -271,13 +258,17 @@ TEST(SketchInstrument, ExactTotalsUnderConcurrentRecording) {
       },
       8);
   const obs::Sketch::Snapshot snap = s.snapshot();
-  EXPECT_EQ(snap.count, kTasks * kPerTask);
+  constexpr size_t kN = kTasks * kPerTask;
+  EXPECT_EQ(snap.count, kN);
   EXPECT_EQ(snap.min, 0.0);
-  EXPECT_EQ(snap.max, static_cast<double>(kTasks * kPerTask - 1));
+  EXPECT_EQ(snap.max, static_cast<double>(kN - 1));
+  // Integer samples sum exactly in a double (< 2^53) in any shard
+  // order, so the total matches a serial run at every thread count.
+  EXPECT_EQ(snap.sum, static_cast<double>(kN * (kN - 1) / 2));
   // The p50 of 0..N-1 must land near N/2 regardless of how samples
   // were scattered over shards.
-  EXPECT_NEAR(snap.p50, static_cast<double>(kTasks * kPerTask) / 2.0,
-              0.03 * static_cast<double>(kTasks * kPerTask));
+  EXPECT_NEAR(snap.p50, static_cast<double>(kN) / 2.0,
+              0.03 * static_cast<double>(kN));
 }
 
 TEST(SketchInstrument, KillSwitchStopsRecording) {
