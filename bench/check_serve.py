@@ -16,9 +16,10 @@ and fails when the sessionful serving path regresses:
               session layer lost the one thing it exists to preserve.
   accounting — every streamed step must be visible to the daemon's own
               serve.session.step_us sketch (client count == server
-              count), sessions opened == closed (none leaked or
-              evicted mid-test), and the sharded result cache counters
-              must be present so multi-worker serving keeps reporting.
+              count), stats must report the context's worker count,
+              sessions opened == closed (none leaked or evicted
+              mid-test), and the result cache's hit/miss counters must
+              be present so multi-worker serving keeps reporting.
 
 Usage: check_serve.py BENCH_serve.json [--max-p50-us 1000]
        [--max-p99-us 20000] [--max-warm-cold-ratio 0.75]
@@ -108,8 +109,8 @@ def main():
                 "(a session leaked, failed, or was evicted mid-test)")
     for name in ("serve.cache.hits", "serve.cache.misses"):
         if name not in counters:
-            failures.append(f"counter {name} missing — the sharded "
-                            "result cache stopped reporting")
+            failures.append(f"counter {name} missing — the result "
+                            "cache stopped reporting")
 
     if failures:
         for f in failures:

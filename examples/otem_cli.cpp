@@ -442,7 +442,8 @@ int cmd_loadtest(const std::string& endpoint_arg, const Config& cfg) {
       warm_n > 0 ? warm_iters / static_cast<double>(warm_n) : 0.0;
 
   // The daemon's own view: server-side step handling time and the
-  // deterministically merged per-worker request sketches.
+  // all-method request latency, the four request sketches merged in a
+  // fixed order.
   serve::Connection probe(endpoint);
   serve::Request streq;
   streq.method = "stats";

@@ -4,14 +4,12 @@
 
 namespace otem::obs {
 
-#ifndef OTEM_OBS_DISABLED
 namespace {
 std::atomic<bool> g_enabled{true};
 }  // namespace
 
 bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
-#endif
 
 namespace detail {
 size_t shard_index() {

@@ -16,9 +16,7 @@
 // they record a level, not a rate.
 //
 // Kill switch: obs::set_enabled(false) turns every record path into a
-// cheap early-out (one relaxed load), and compiling with
-// -DOTEM_OBS_DISABLED makes enabled() a constant so the compiler
-// removes the instrumentation entirely. Instrument REGISTRATION always
+// cheap early-out (one relaxed load). Instrument REGISTRATION always
 // works; only recording is gated, so snapshots of a disabled registry
 // are well-formed (all zeros).
 #pragma once
@@ -36,13 +34,8 @@
 namespace otem::obs {
 
 /// Global recording switch (process-wide, default on).
-#ifdef OTEM_OBS_DISABLED
-constexpr bool enabled() { return false; }
-inline void set_enabled(bool) {}
-#else
 bool enabled();
 void set_enabled(bool on);
-#endif
 
 namespace detail {
 /// Shard count per instrument. A power of two so the shard pick is a

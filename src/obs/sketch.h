@@ -20,8 +20,8 @@
 // otem.metrics.v2 snapshots embed. Which shard a sample lands in
 // follows its thread, so across thread counts only count, min, max and
 // the sum of integer samples are exact; quantiles agree within the
-// rank error. The obs kill switches apply: record() is a no-op when
-// set_enabled(false) or OTEM_OBS_DISABLED.
+// rank error. The obs kill switch applies: record() is a no-op after
+// set_enabled(false).
 #pragma once
 
 #include <cstddef>

@@ -6,12 +6,10 @@
 #include <memory>
 #include <mutex>
 
-#include "obs/metrics.h"
 #include "obs/timer.h"
 
 namespace otem::obs {
 
-#ifndef OTEM_OBS_DISABLED
 namespace {
 std::atomic<bool> g_trace_enabled{false};
 }  // namespace
@@ -22,7 +20,6 @@ bool trace_enabled() {
 void set_trace_enabled(bool on) {
   g_trace_enabled.store(on, std::memory_order_relaxed);
 }
-#endif
 
 namespace {
 
@@ -251,17 +248,6 @@ Json TraceCollector::to_chrome_json() const {
 
 void TraceCollector::write_chrome_trace(const std::string& path) const {
   write_json_file(path, to_chrome_json());
-}
-
-void TraceCollector::record_durations(MetricsRegistry& registry,
-                                      const std::string& prefix) const {
-  std::map<std::string, std::vector<double>> durations;
-  for (const SpanRecord& rec : collect())
-    durations[rec.name].push_back(rec.dur_us);
-  for (const auto& [name, durs] : durations) {
-    Sketch& sketch = registry.sketch(prefix + name + ".dur_us");
-    for (double d : durs) sketch.record(d);
-  }
 }
 
 }  // namespace otem::obs

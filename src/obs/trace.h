@@ -15,10 +15,9 @@
 //     relaxed atomic stores — rings are recycled through a free list
 //     when threads exit, so churning session threads do not grow the
 //     process;
-//   - kill switches matching obs/metrics.h: tracing is OFF by default
+//   - a kill switch like obs/metrics.h's: tracing is OFF by default
 //     and costs one relaxed load per span; set_trace_enabled(true)
-//     turns it on at runtime, and compiling with -DOTEM_OBS_DISABLED
-//     (CMake -DOTEM_DISABLE_OBS=ON) removes it entirely;
+//     turns it on at runtime;
 //   - TSan-clean concurrent draining: every slot field is an atomic,
 //     so a TraceCollector may read while writers write. A record being
 //     overwritten at that instant can mix fields of two spans — the
@@ -27,9 +26,8 @@
 //
 // TraceCollector drains the rings into Chrome trace-event JSON
 // (schema "otem.trace.v1" — load the file in chrome://tracing or
-// https://ui.perfetto.dev), into per-name summaries (the serve `stats`
-// method), or into span-duration Sketch instruments in a
-// MetricsRegistry.
+// https://ui.perfetto.dev) or into per-name summaries (the serve
+// `stats` method).
 //
 // All timestamps share obs::now_us()'s steady epoch, so spans emitted
 // by different layers (and trace_emit() records made from timings the
@@ -44,17 +42,10 @@
 
 namespace otem::obs {
 
-class MetricsRegistry;
-
 /// Runtime tracing switch (process-wide, default OFF — tracing is
 /// opt-in, unlike metrics). Independent of obs::set_enabled.
-#ifdef OTEM_OBS_DISABLED
-constexpr bool trace_enabled() { return false; }
-inline void set_trace_enabled(bool) {}
-#else
 bool trace_enabled();
 void set_trace_enabled(bool on);
-#endif
 
 /// Slots per thread ring. 2048 spans outlives any single request's
 /// span tree by a wide margin (~80 KiB per thread).
@@ -132,11 +123,6 @@ class TraceCollector {
   /// to_chrome_json() + write to `path`; throws otem::SimError on I/O
   /// failure.
   void write_chrome_trace(const std::string& path) const;
-
-  /// Record every drained span's duration into
-  /// `<prefix><name>.dur_us` Sketch instruments in `registry`.
-  void record_durations(MetricsRegistry& registry,
-                        const std::string& prefix = "trace.") const;
 };
 
 }  // namespace otem::obs

@@ -1,7 +1,6 @@
 #include "serve/cache.h"
 
 #include <algorithm>
-#include <cstdint>
 
 #include "common/config.h"
 #include "common/json.h"
@@ -84,15 +83,14 @@ std::string canonical_scenario_key(const sim::Scenario& scenario,
   return key;
 }
 
-ResultCache::ResultCache(size_t max_bytes, obs::MetricsRegistry& registry,
-                         const std::string& gauge_suffix)
+ResultCache::ResultCache(size_t max_bytes, obs::MetricsRegistry& registry)
     : max_bytes_(max_bytes),
       hits_(registry.counter("serve.cache.hits")),
       misses_(registry.counter("serve.cache.misses")),
       coalesced_(registry.counter("serve.cache.coalesced")),
       evictions_(registry.counter("serve.cache.evictions")),
-      bytes_gauge_(registry.gauge("serve.cache.bytes" + gauge_suffix)),
-      entries_gauge_(registry.gauge("serve.cache.entries" + gauge_suffix)) {}
+      bytes_gauge_(registry.gauge("serve.cache.bytes")),
+      entries_gauge_(registry.gauge("serve.cache.entries")) {}
 
 std::optional<std::string> ResultCache::lookup_or_begin(
     const std::string& key) {
@@ -172,66 +170,6 @@ size_t ResultCache::bytes() const {
 size_t ResultCache::entries() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return entries_.size();
-}
-
-ShardedResultCache::ShardedResultCache(size_t max_bytes, size_t shards,
-                                       obs::MetricsRegistry& registry) {
-  const size_t n = shards > 0 ? shards : 1;
-  const size_t per_shard = max_bytes / n;
-  shards_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<ResultCache>(
-        per_shard, registry,
-        n == 1 ? std::string() : ".shard" + std::to_string(i)));
-  }
-  if (n > 1) {
-    bytes_gauge_ = &registry.gauge("serve.cache.bytes");
-    entries_gauge_ = &registry.gauge("serve.cache.entries");
-  }
-}
-
-size_t ShardedResultCache::shard_of(const std::string& key) const {
-  // FNV-1a 64: stable across platforms and processes, so every worker
-  // (and a future multi-machine fabric) routes a key identically.
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return static_cast<size_t>(h % shards_.size());
-}
-
-std::optional<std::string> ShardedResultCache::lookup_or_begin(
-    const std::string& key) {
-  return shards_[shard_of(key)]->lookup_or_begin(key);
-}
-
-void ShardedResultCache::fill(const std::string& key, std::string value) {
-  shards_[shard_of(key)]->fill(key, std::move(value));
-  refresh_gauges();
-}
-
-void ShardedResultCache::abandon(const std::string& key) {
-  shards_[shard_of(key)]->abandon(key);
-  refresh_gauges();
-}
-
-size_t ShardedResultCache::bytes() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) total += shard->bytes();
-  return total;
-}
-
-size_t ShardedResultCache::entries() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) total += shard->entries();
-  return total;
-}
-
-void ShardedResultCache::refresh_gauges() {
-  if (bytes_gauge_ == nullptr) return;
-  bytes_gauge_->set(static_cast<double>(bytes()));
-  entries_gauge_->set(static_cast<double>(entries()));
 }
 
 }  // namespace otem::serve

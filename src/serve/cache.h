@@ -16,20 +16,21 @@
 // fend for themselves. Eviction is strict LRU by byte budget; entries
 // being computed are not evictable.
 //
-// Thread-safe throughout; instruments (hits/misses/coalesced/evictions
-// counters, bytes/entries gauges) land in the registry handed to the
-// constructor under `serve.cache.`.
+// Thread-safe throughout: the daemon keeps ONE cache, whatever its
+// worker count, so every acceptor resolves a key to the same entry and
+// concurrent identical requests coalesce onto one computation. Its
+// instruments (hits/misses/coalesced/evictions counters, bytes/entries
+// gauges) land in the registry handed to the constructor under
+// `serve.cache.`.
 #pragma once
 
 #include <cstddef>
 #include <condition_variable>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "obs/metrics.h"
 
@@ -54,12 +55,8 @@ class ResultCache {
  public:
   /// `max_bytes` bounds the sum of key+value byte sizes (plus a small
   /// per-entry overhead); 0 disables caching entirely (every lookup
-  /// misses, fills are dropped). `gauge_suffix` distinguishes the
-  /// bytes/entries gauges when several caches share a registry (the
-  /// sharded wrapper below passes ".shard<i>"); counters are shared by
-  /// name regardless — they are additive across shards.
-  ResultCache(size_t max_bytes, obs::MetricsRegistry& registry,
-              const std::string& gauge_suffix = "");
+  /// misses, fills are dropped).
+  ResultCache(size_t max_bytes, obs::MetricsRegistry& registry);
 
   /// Single-flight lookup. Returns the cached value on a hit (possibly
   /// after blocking on another thread's in-progress computation).
@@ -102,42 +99,6 @@ class ResultCache {
   obs::Counter& evictions_;
   obs::Gauge& bytes_gauge_;
   obs::Gauge& entries_gauge_;
-};
-
-/// Consistently-sharded wrapper for the multi-worker daemon: keys land
-/// on shard FNV1a64(key) % shards, so every worker resolves the same
-/// key to the same ResultCache and the single-flight guarantee holds
-/// per shard — concurrent byte-identical requests still coalesce onto
-/// one computation no matter which acceptor admitted them, while
-/// requests for different missions stop contending on one mutex. The
-/// byte budget is split evenly across shards (strict LRU within each);
-/// hit/miss/coalesced/eviction counters aggregate into the same
-/// serve.cache.* names, per-shard bytes/entries gauges carry a
-/// ".shard<i>" suffix, and the wrapper maintains the aggregate
-/// serve.cache.bytes / serve.cache.entries gauges. One shard behaves
-/// exactly like a bare ResultCache.
-class ShardedResultCache {
- public:
-  ShardedResultCache(size_t max_bytes, size_t shards,
-                     obs::MetricsRegistry& registry);
-
-  /// The shard `key` consistently hashes to (exposed for tests).
-  size_t shard_of(const std::string& key) const;
-
-  std::optional<std::string> lookup_or_begin(const std::string& key);
-  void fill(const std::string& key, std::string value);
-  void abandon(const std::string& key);
-
-  size_t shards() const { return shards_.size(); }
-  size_t bytes() const;
-  size_t entries() const;
-
- private:
-  void refresh_gauges();
-
-  std::vector<std::unique_ptr<ResultCache>> shards_;
-  obs::Gauge* bytes_gauge_ = nullptr;    ///< aggregate (multi-shard only)
-  obs::Gauge* entries_gauge_ = nullptr;
 };
 
 }  // namespace otem::serve

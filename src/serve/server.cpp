@@ -121,22 +121,18 @@ Json sketch_stats_json(const obs::Sketch::Snapshot& s) {
 
 Server::Server(const ServerOptions& options)
     : options_(options),
-      cache_(options.cache_bytes, std::max<size_t>(options.workers, 1),
-             registry_),
+      cache_(options.cache_bytes, registry_),
       sessions_(SessionLimits{options.session_limit, options.session_ttl_s},
                 registry_),
       run_instruments_(registry_),
       pool_(std::make_unique<exec::ThreadPool>(options.threads)),
       latency_sketch_(registry_.sketch("serve.request.latency_us")),
-      queue_wait_sketch_(registry_.sketch("serve.queue.wait_us")),
+      session_open_sketch_(registry_.sketch("serve.session.open_us")),
       session_step_sketch_(registry_.sketch("serve.session.step_us")),
+      session_close_sketch_(registry_.sketch("serve.session.close_us")),
+      queue_wait_sketch_(registry_.sketch("serve.queue.wait_us")),
       queue_depth_(registry_.gauge("serve.queue.depth")) {
   options_.workers = std::max<size_t>(options_.workers, 1);
-  worker_latency_.reserve(options_.workers);
-  for (size_t i = 0; i < options_.workers; ++i) {
-    worker_latency_.push_back(&registry_.sketch(
-        "serve.worker" + std::to_string(i) + ".request_latency_us"));
-  }
   for (const std::string_view method : kMethodNames) {
     request_counters_.push_back(&registry_.counter(
         "serve.requests." + std::string(method)));
@@ -211,10 +207,9 @@ std::string Server::oversized_response() {
           " bytes");
 }
 
-std::string Server::handle_line(const std::string& line, size_t worker) {
+std::string Server::handle_line(const std::string& line) {
   const obs::TraceSpan request_span("serve.request");
   const double t0 = obs::now_us();
-  if (worker >= worker_latency_.size()) worker = 0;
   Request req;
   try {
     const obs::TraceSpan parse_span("serve.parse");
@@ -251,16 +246,18 @@ std::string Server::handle_line(const std::string& line, size_t worker) {
       result.set("session_step_us",
                  sketch_stats_json(session_step_sketch_.snapshot()));
       result.set("sessions_active", sessions_.active());
-      // Per-worker latency sketches folded IN WORKER ORDER — the same
-      // deterministic KLL merge the campaign fabric relies on, so the
-      // merged quantiles are identical on every stats call over the
-      // same traffic regardless of which worker answers it.
+      // The all-method request latency: the four request sketches
+      // folded in a fixed order — the deterministic KLL merge the
+      // campaign fabric relies on — so consecutive stats calls over the
+      // same traffic report identical quantiles.
       {
         Json workers = Json::object();
-        workers.set("count", worker_latency_.size());
-        obs::QuantileSketch merged(worker_latency_.front()->k());
-        for (const obs::Sketch* ws : worker_latency_)
-          merged.merge(ws->collect());
+        workers.set("count", options_.workers);
+        obs::QuantileSketch merged(latency_sketch_.k());
+        for (const obs::Sketch* sketch :
+             {&latency_sketch_, &session_open_sketch_, &session_step_sketch_,
+              &session_close_sketch_})
+          merged.merge(sketch->collect());
         workers.set("request_latency_us",
                     sketch_stats_json(obs::summarize(merged)));
         result.set("workers", std::move(workers));
@@ -286,33 +283,21 @@ std::string Server::handle_line(const std::string& line, size_t worker) {
       result.set("methods", std::move(names));
       return build_ok_response(req.id, false, result.dump(0));
     }
-    if (method == kRun) {
-      // Latency is recorded HERE, on every completion path (success,
-      // cache hit, refusal, error) — and t0 is taken at frame entry, so
-      // it always includes queue wait and parse time.
-      const std::string response = handle_run(req);
-      const double latency = obs::now_us() - t0;
-      latency_sketch_.record(latency);
-      worker_latency_[worker]->record(latency);
+    // A request's latency is recorded HERE, in its method's one sketch,
+    // on every completion path (success, cache hit, refusal, error) —
+    // and t0 is taken at frame entry, so it always includes parse time
+    // and, for a run, queue wait.
+    const auto timed = [t0](obs::Sketch& sketch, std::string response) {
+      sketch.record(obs::now_us() - t0);
       return response;
-    }
-    if (method == kSessionOpen) {
-      const std::string response = handle_session_open(req);
-      worker_latency_[worker]->record(obs::now_us() - t0);
-      return response;
-    }
-    if (method == kSessionStep) {
-      const std::string response = handle_session_step(req);
-      const double latency = obs::now_us() - t0;
-      session_step_sketch_.record(latency);
-      worker_latency_[worker]->record(latency);
-      return response;
-    }
-    if (method == kSessionClose) {
-      const std::string response = handle_session_close(req);
-      worker_latency_[worker]->record(obs::now_us() - t0);
-      return response;
-    }
+    };
+    if (method == kRun) return timed(latency_sketch_, handle_run(req));
+    if (method == kSessionOpen)
+      return timed(session_open_sketch_, handle_session_open(req));
+    if (method == kSessionStep)
+      return timed(session_step_sketch_, handle_session_step(req));
+    if (method == kSessionClose)
+      return timed(session_close_sketch_, handle_session_close(req));
   } catch (const std::exception& e) {
     return error_response(req.id, ErrorCode::kInternal, e.what());
   }
@@ -565,7 +550,7 @@ std::string Server::handle_session_close(const Request& req) {
   return build_ok_response(req.id, false, doc.dump(0));
 }
 
-void Server::session_loop(int in_fd, int out_fd, size_t worker) {
+void Server::session_loop(int in_fd, int out_fd) {
   FrameReader reader(in_fd, options_.max_frame_bytes);
   std::string line;
   for (;;) {
@@ -579,7 +564,7 @@ void Server::session_loop(int in_fd, int out_fd, size_t worker) {
     }
     const std::string response = status == FrameReader::Status::kOversized
                                      ? oversized_response()
-                                     : handle_line(line, worker);
+                                     : handle_line(line);
     if (!write_frame(out_fd, response)) return;
   }
 }
@@ -650,14 +635,14 @@ void Server::shutdown_flush() {
 
 int Server::serve_stdio(int in_fd, int out_fd) {
   SignalGuard signals;
-  session_loop(in_fd, out_fd, 0);
+  session_loop(in_fd, out_fd);
   request_stop();
   drain();
   shutdown_flush();
   return 0;
 }
 
-void Server::accept_loop(int listen_fd, bool tcp, size_t worker) {
+void Server::accept_loop(int listen_fd, bool tcp) {
   obs::Counter& connections = registry_.counter("serve.connections");
   while (!stopping()) {
     struct pollfd pfds[2];
@@ -683,8 +668,8 @@ void Server::accept_loop(int listen_fd, bool tcp, size_t worker) {
       std::lock_guard<std::mutex> lock(connections_mutex_);
       ++open_connections_;
     }
-    std::thread([this, client_fd, worker] {
-      session_loop(client_fd, client_fd, worker);
+    std::thread([this, client_fd] {
+      session_loop(client_fd, client_fd);
       ::close(client_fd);
       // Notify under the lock, so ~Server cannot destroy the condition
       // variable before this thread is done with it.
@@ -718,10 +703,9 @@ int Server::serve_listener(int listen_fd, bool tcp) {
   // sees POLLIN forever, so ALL workers wake and observe stopping().
   std::vector<std::thread> acceptors;
   for (size_t w = 1; w < options_.workers; ++w)
-    acceptors.emplace_back([this, listen_fd, tcp, w] {
-      accept_loop(listen_fd, tcp, w);
-    });
-  accept_loop(listen_fd, tcp, 0);
+    acceptors.emplace_back(
+        [this, listen_fd, tcp] { accept_loop(listen_fd, tcp); });
+  accept_loop(listen_fd, tcp);
   for (std::thread& t : acceptors) t.join();
 
   ::close(listen_fd);

@@ -34,11 +34,9 @@
 // drive directly.
 //
 // Multi-worker mode (workers=N) runs N acceptor loops over the shared
-// listening socket; the result cache is consistently sharded N ways
-// (serve/cache.h ShardedResultCache — single-flight and byte-identical
-// replay guarantees hold per shard), and each worker keeps its own
-// request-latency sketch, merged deterministically in worker order by
-// the `stats` method (the same KLL merge the campaign fabric uses).
+// listening socket. Everything else is shared: the one result cache
+// (single-flight and byte-identical replay hold across workers), the
+// session table and the instruments.
 //
 // Mission sessions (serve/session.h): session.open resolves a scenario
 // and pins a resident controller + plant state; session.step executes
@@ -49,16 +47,19 @@
 // cancelling in-flight work.
 //
 // Observability (registry(), all under serve.*): queue depth gauge,
-// request latency and queue-wait quantile sketches (latency covers
-// every run completion path — success, cache hit and error — and
-// therefore includes queue wait), request counters for the eight
+// one latency sketch per request method — serve.request.latency_us
+// (`run`), serve.session.open_us, serve.session.step_us and
+// serve.session.close_us, each timed from frame entry to reply on
+// every completion path, so a run's latency includes its queue wait —
+// and the pool's queue-wait sketch, request counters for the eight
 // protocol methods (unknown ones count only as an error),
 // per-code error counters, cache hit/miss/coalesced/eviction
 // counters and byte/entry gauges, connection counter. The `stats`
-// method returns the live latency/queue-wait quantiles plus per-name
-// summaries of recently recorded trace spans; `trace_out` enables the
-// span tracer for the daemon's lifetime and writes an otem.trace.v1
-// Chrome trace on shutdown.
+// method returns the live latency/queue-wait quantiles, an all-method
+// request latency folded from the four request sketches in a fixed
+// order, plus per-name summaries of recently recorded trace spans;
+// `trace_out` enables the span tracer for the daemon's lifetime and
+// writes an otem.trace.v1 Chrome trace on shutdown.
 #pragma once
 
 #include <atomic>
@@ -93,8 +94,8 @@ struct ServerOptions {
   double drain_timeout_s = 5.0;
   /// Frames longer than this are refused (connection survives).
   size_t max_frame_bytes = 1u << 20;
-  /// Acceptor workers over the shared listening socket; also the result
-  /// cache's shard count. 1 = the single-worker daemon.
+  /// Acceptor workers over the shared listening socket. 1 = the
+  /// single-worker daemon.
   size_t workers = 1;
   /// Resident mission-session ceiling; opening past it evicts the LRU
   /// session. 0 disables the session API (session.open refuses).
@@ -124,10 +125,7 @@ class Server {
   /// The transport-free core: one request frame in, one response frame
   /// out (no trailing newline). Never throws — every failure becomes a
   /// structured error response. Safe to call from many threads.
-  /// `worker` attributes the request to one worker's latency sketch
-  /// (clamped to the worker count; transports pass their acceptor's
-  /// index).
-  std::string handle_line(const std::string& line, size_t worker = 0);
+  std::string handle_line(const std::string& line);
 
   /// The response for a frame the codec refused as oversized.
   std::string oversized_response();
@@ -180,11 +178,11 @@ class Server {
   std::string handle_session_close(const Request& request);
   std::string error_response(const Json& id, ErrorCode code,
                              const std::string& message);
-  void session_loop(int in_fd, int out_fd, size_t worker);
+  void session_loop(int in_fd, int out_fd);
   /// Shared serving loop behind serve_unix/serve_tcp: runs
   /// options_.workers acceptor loops over `listen_fd`, then drains.
   int serve_listener(int listen_fd, bool tcp);
-  void accept_loop(int listen_fd, bool tcp, size_t worker);
+  void accept_loop(int listen_fd, bool tcp);
   void shutdown_flush();
 
   bool try_admit();
@@ -200,7 +198,7 @@ class Server {
   std::vector<std::pair<std::string, std::string>> base_pairs_;
 
   obs::MetricsRegistry registry_;
-  ShardedResultCache cache_;
+  ResultCache cache_;
   SessionManager sessions_;
   /// One pre-resolved sim/solver instrument bundle shared by every run
   /// request (sharded instruments make concurrent runs safe), so the
@@ -224,16 +222,16 @@ class Server {
   int wake_read_fd_ = -1;   ///< polled by every acceptor worker
   std::atomic<int> bound_port_{0};
 
-  /// Request latency (frame entry to reply) and pool queue wait: the
-  /// p50/p95/p99 of the `stats` method and the otem.metrics.v2
+  /// Request latency, frame entry to reply, one sketch per method:
+  /// `run`, session.open, session.step (the headline sub-millisecond
+  /// tier) and session.close. With the pool's queue wait they are the
+  /// quantiles of the `stats` method and the otem.metrics.v2
   /// "sketches" section.
   obs::Sketch& latency_sketch_;
-  obs::Sketch& queue_wait_sketch_;
-  /// session.step handling time (the headline sub-millisecond tier).
+  obs::Sketch& session_open_sketch_;
   obs::Sketch& session_step_sketch_;
-  /// Per-acceptor-worker request latency, merged in worker order by the
-  /// `stats` method.
-  std::vector<obs::Sketch*> worker_latency_;
+  obs::Sketch& session_close_sketch_;
+  obs::Sketch& queue_wait_sketch_;
   /// serve.requests.<method>, one per protocol method, resolved at
   /// construction so a frame pays no name concatenation or registry
   /// lookup (server.cpp's method table gives the order).

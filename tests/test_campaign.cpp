@@ -456,7 +456,6 @@ TEST(CampaignRunner, TelemetryPrefixStreamsOneCsvPerScenario) {
   }
 }
 
-#ifndef OTEM_OBS_DISABLED
 /// Sets an environment variable for one scope and restores the old
 /// value (or its absence) on exit.
 class ScopedEnv {
@@ -513,7 +512,6 @@ TEST(CampaignRunner, DefaultWidthHonoursOtemThreads) {
   EXPECT_EQ(runs, grid.size());
   EXPECT_EQ(tids.size(), 1u);
 }
-#endif  // OTEM_OBS_DISABLED
 
 }  // namespace
 }  // namespace otem

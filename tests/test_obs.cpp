@@ -52,8 +52,6 @@ std::vector<std::string> read_lines(const std::string& path) {
   return lines;
 }
 
-#ifndef OTEM_OBS_DISABLED
-
 /// Restores recording even when an assertion aborts the test early.
 struct EnabledGuard {
   ~EnabledGuard() { obs::set_enabled(true); }
@@ -427,8 +425,6 @@ TEST(DiagnosticsSink, ReactiveBaselineHasNoSolverMetrics) {
             (load.size() + sim::DiagnosticsSink::kTimingStride - 1) /
                 sim::DiagnosticsSink::kTimingStride);
 }
-
-#endif  // OTEM_OBS_DISABLED
 
 // --- CSV stream failure -------------------------------------------------
 

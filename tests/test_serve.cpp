@@ -637,6 +637,31 @@ TEST(ResultCacheTest, AbandonReleasesCoalescedWaiters) {
   EXPECT_EQ(cache.lookup_or_begin("k").value(), "second-try");
 }
 
+TEST(ResultCacheTest, SingleFlightHoldsUnderContention) {
+  obs::MetricsRegistry registry;
+  ResultCache cache(1u << 20, registry);
+  constexpr size_t kThreads = 8;
+  std::atomic<size_t> computed{0};
+  std::vector<std::string> results(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      if (std::optional<std::string> hit = cache.lookup_or_begin("hot")) {
+        results[t] = *hit;
+        return;
+      }
+      computed.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      cache.fill("hot", "the-bytes");
+      results[t] = "the-bytes";
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(computed.load(), 1u);
+  for (const std::string& r : results) EXPECT_EQ(r, "the-bytes");
+}
+
 // --- canonical cache key ----------------------------------------------------
 
 TEST(CacheKey, ExplicitDefaultsHashLikeImpliedDefaults) {
@@ -675,8 +700,6 @@ TEST(CacheKey, SpecOverridesLandInTheSortedTail) {
 }
 
 // --- observability: queue wait, latency sketches, stats ---------------------
-
-#ifndef OTEM_OBS_DISABLED
 
 TEST(ServeObs, QueueWaitIsRecordedUnderLoad) {
   // One pool thread + several concurrent admissions: all but the first
@@ -775,8 +798,6 @@ TEST(ServeObs, TraceOutEnablesSpansVisibleInStats) {
   EXPECT_GT(spans->find("serve.request")->find("count")->as_number(), 0.0);
 }
 
-#endif  // OTEM_OBS_DISABLED
-
 // --- stdio transport --------------------------------------------------------
 
 TEST(ServeStdio, AnswersFramesUntilEofThenExitsZero) {
@@ -799,79 +820,6 @@ TEST(ServeStdio, AnswersFramesUntilEofThenExitsZero) {
   ASSERT_EQ(reader.next(line, 1000), FrameReader::Status::kFrame);
   EXPECT_NE(line.find("\"ok\":true"), std::string::npos) << line;
   EXPECT_NE(line.find("\"report\":"), std::string::npos) << line;
-}
-
-// --- sharded result cache ---------------------------------------------------
-
-TEST(ShardedResultCacheTest, RoutingIsConsistentAndStable) {
-  obs::MetricsRegistry registry;
-  ShardedResultCache cache(1u << 20, 4, registry);
-  EXPECT_EQ(cache.shards(), 4u);
-  // Consistent: the same key always lands on the same shard.
-  for (const std::string key : {"a", "mission-1", "mission-2", ""})
-    EXPECT_EQ(cache.shard_of(key), cache.shard_of(std::string(key)));
-  // Stable across processes and platforms: FNV-1a 64 of "abc" is
-  // 0xe71fa2190541574b -> % 4 == 3. A changed hash silently reshuffles
-  // every deployed multi-worker cache, so pin it.
-  EXPECT_EQ(cache.shard_of("abc"), 3u);
-}
-
-TEST(ShardedResultCacheTest, SingleShardKeepsTheBareCacheGaugeNames) {
-  obs::MetricsRegistry registry;
-  ShardedResultCache cache(1u << 20, 1, registry);
-  EXPECT_EQ(cache.lookup_or_begin("k"), std::nullopt);
-  cache.fill("k", "v");
-  const obs::MetricsSnapshot snap = registry.snapshot();
-  EXPECT_GT(snap.gauges.at("serve.cache.bytes"), 0.0);
-  EXPECT_EQ(snap.gauges.at("serve.cache.entries"), 1.0);
-  EXPECT_EQ(snap.gauges.count("serve.cache.bytes.shard0"), 0u);
-}
-
-TEST(ShardedResultCacheTest, MultiShardMaintainsAggregateAndPerShardGauges) {
-  obs::MetricsRegistry registry;
-  ShardedResultCache cache(1u << 20, 2, registry);
-  // Find keys that land on different shards.
-  std::string k0 = "key-a", k1 = "key-b";
-  for (int i = 0; cache.shard_of(k1) == cache.shard_of(k0) && i < 64; ++i)
-    k1 = "key-b" + std::to_string(i);
-  ASSERT_NE(cache.shard_of(k0), cache.shard_of(k1));
-  EXPECT_EQ(cache.lookup_or_begin(k0), std::nullopt);
-  EXPECT_EQ(cache.lookup_or_begin(k1), std::nullopt);
-  cache.fill(k0, "v0");
-  cache.fill(k1, "v1");
-  EXPECT_EQ(cache.entries(), 2u);
-  const obs::MetricsSnapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.gauges.at("serve.cache.entries"), 2.0);
-  EXPECT_EQ(snap.gauges.at("serve.cache.entries.shard0") +
-                snap.gauges.at("serve.cache.entries.shard1"),
-            2.0);
-  // Counters aggregate by name across shards.
-  EXPECT_EQ(registry.counter("serve.cache.misses").value(), 2u);
-}
-
-TEST(ShardedResultCacheTest, SingleFlightHoldsUnderCrossShardContention) {
-  obs::MetricsRegistry registry;
-  ShardedResultCache cache(1u << 20, 4, registry);
-  constexpr size_t kThreads = 8;
-  std::atomic<size_t> computed{0};
-  std::vector<std::string> results(kThreads);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      if (std::optional<std::string> hit = cache.lookup_or_begin("hot")) {
-        results[t] = *hit;
-        return;
-      }
-      computed.fetch_add(1);
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      cache.fill("hot", "the-bytes");
-      results[t] = "the-bytes";
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(computed.load(), 1u);
-  for (const std::string& r : results) EXPECT_EQ(r, "the-bytes");
 }
 
 // --- hex_doubles ------------------------------------------------------------

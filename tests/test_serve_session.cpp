@@ -2,8 +2,8 @@
 // scale-out transports: session.open/step/close lifecycle and
 // determinism, warm-start carryover across protocol frames, TTL and
 // capacity eviction, drain semantics, the TCP transport (ephemeral
-// port + bound_port discovery), multi-worker sharded-cache contention
-// and the deterministic per-worker stats merge.
+// port + bound_port discovery), multi-worker cache contention, one
+// latency sketch per request and the fixed-order stats merge.
 //
 // Most tests drive Server::handle_line (the transport-free core); the
 // TCP tests bind 127.0.0.1:0 and run real localhost sockets.
@@ -11,6 +11,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -19,6 +21,8 @@
 
 #include "common/json.h"
 #include "core/methodology_registry.h"
+#include "obs/metrics.h"
+#include "obs/sketch.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -565,10 +569,10 @@ TEST(ServeTcp, SessionLifecycleOverOnePersistentConnection) {
 }
 
 TEST(ServeTcp, MultiWorkerCachedRepliesAreByteIdenticalUnderContention) {
-  // The sharded-cache guarantee end to end: many concurrent clients
+  // The shared-cache guarantee end to end: many concurrent clients
   // asking for the SAME mission over TCP against a multi-worker daemon
   // must all receive byte-identical response documents (modulo the id
-  // they chose), with the computation done once per shard claim.
+  // they chose), with the computation done once.
   ServerOptions opts = session_test_options();
   opts.workers = 4;
   TcpServerFixture fx(opts);
@@ -638,34 +642,141 @@ TEST(ServeTcp, ConcurrentSessionsSurviveAMultiWorkerDaemon) {
   EXPECT_EQ(snap.counters.at("serve.sessions_closed"), kClients);
 }
 
-TEST(ServeTcp, StatsMergesWorkerSketchesDeterministically) {
+// --- one latency sketch per request ---------------------------------------
+
+/// A `run` small enough to finish in milliseconds.
+const char* const kRunRequest =
+    "{\"schema\":\"otem.serve.v1\",\"method\":\"run\",\"overrides\":"
+    "{\"method\":\"parallel\",\"synthetic\":true,"
+    "\"synthetic_duration_s\":30}}";
+
+/// The count of every serve.* sketch but the pool's queue wait, which
+/// times a part of a computed `run`, not a request.
+std::map<std::string, std::uint64_t> request_sketch_counts(
+    const obs::MetricsSnapshot& snap) {
+  std::map<std::string, std::uint64_t> counts;
+  for (const auto& [name, sketch] : snap.sketches)
+    if (name.rfind("serve.", 0) == 0 && name != "serve.queue.wait_us")
+      counts[name] = sketch.count;
+  return counts;
+}
+
+TEST(ServeLatency, EachRequestRecordsInExactlyOneSketch) {
+  Server server(session_test_options());
+  // Sends `line` and checks that exactly one serve.* latency sketch,
+  // `sketch`, gained exactly one sample; returns the reply.
+  const auto one_sample = [&server](const std::string& line,
+                                    const std::string& sketch) {
+    const auto before = request_sketch_counts(server.registry().snapshot());
+    const std::string reply = server.handle_line(line);
+    const auto after = request_sketch_counts(server.registry().snapshot());
+    size_t changed = 0;
+    for (const auto& [name, count] : after) {
+      const auto it = before.find(name);
+      const std::uint64_t was = it == before.end() ? 0 : it->second;
+      if (count == was) continue;
+      ++changed;
+      EXPECT_EQ(name, sketch) << line;
+      EXPECT_EQ(count, was + 1) << name << " after " << line;
+    }
+    EXPECT_EQ(changed, 1u) << line;
+    return reply;
+  };
+
+  ok_result(one_sample(kRunRequest, "serve.request.latency_us"));
+  ok_result(one_sample(kRunRequest, "serve.request.latency_us"));  // cached
+  const std::string sid = session_id_of(
+      ok_result(one_sample(open_request(), "serve.session.open_us")));
+  ok_result(one_sample(step_request(sid), "serve.session.step_us"));
+  ok_result(one_sample(close_request(sid), "serve.session.close_us"));
+  // Refusals are timed in their method's sketch too.
+  EXPECT_EQ(error_code_of(one_sample(step_request(sid),
+                                     "serve.session.step_us")),
+            "unknown_session");
+  EXPECT_EQ(error_code_of(one_sample(close_request(sid),
+                                     "serve.session.close_us")),
+            "unknown_session");
+}
+
+TEST(ServeLatency, MultiWorkerDaemonKeepsOneSetOfInstruments) {
+  // workers=N is the number of acceptor loops and nothing else: the
+  // latency sketches and the result cache's gauges are the same ones a
+  // single-worker daemon keeps.
+  ServerOptions opts = session_test_options();
+  opts.workers = 3;
+  TcpServerFixture fx(opts);
+  Connection conn(fx.endpoint);
+  ok_result(conn.roundtrip(kRunRequest));
+  const std::string sid =
+      session_id_of(ok_result(conn.roundtrip(open_request())));
+  ok_result(conn.roundtrip(step_request(sid)));
+  ok_result(conn.roundtrip(close_request(sid)));
+
+  const obs::MetricsSnapshot snap = fx.server.registry().snapshot();
+  const auto per_worker_or_shard = [](const std::string& name) {
+    return name.rfind("serve.worker", 0) == 0 ||
+           (name.rfind("serve.cache.", 0) == 0 &&
+            name.find(".shard") != std::string::npos);
+  };
+  for (const auto& [name, value] : snap.counters)
+    EXPECT_FALSE(per_worker_or_shard(name)) << name;
+  for (const auto& [name, value] : snap.gauges)
+    EXPECT_FALSE(per_worker_or_shard(name)) << name;
+  for (const auto& [name, sketch] : snap.sketches)
+    EXPECT_FALSE(per_worker_or_shard(name)) << name;
+
+  const std::map<std::string, std::uint64_t> expected = {
+      {"serve.request.latency_us", 1},
+      {"serve.session.close_us", 1},
+      {"serve.session.open_us", 1},
+      {"serve.session.step_us", 1}};
+  EXPECT_EQ(request_sketch_counts(snap), expected);
+  ASSERT_EQ(snap.gauges.count("serve.cache.entries"), 1u);
+  EXPECT_EQ(snap.gauges.at("serve.cache.entries"), 1.0);
+  ASSERT_EQ(snap.gauges.count("serve.cache.bytes"), 1u);
+  EXPECT_GT(snap.gauges.at("serve.cache.bytes"), 0.0);
+}
+
+TEST(ServeLatency, StatsMergesTheRequestSketchesInAFixedOrder) {
   ServerOptions opts = session_test_options();
   opts.workers = 3;
   Server server(opts);
-  // Attribute traffic to distinct workers through the transport-free
-  // core, exactly as the acceptor loops do.
-  for (size_t w = 0; w < 3; ++w) {
-    for (int i = 0; i < 4; ++i)
-      (void)server.handle_line(
-          "{\"schema\":\"otem.serve.v1\",\"method\":\"run\",\"overrides\":"
-          "{\"method\":\"parallel\",\"synthetic\":true,"
-          "\"synthetic_duration_s\":30}}",
-          w);
-  }
+  for (int i = 0; i < 3; ++i) ok_result(server.handle_line(kRunRequest));
+  const std::string sid =
+      session_id_of(ok_result(server.handle_line(open_request())));
+  for (int k = 0; k < 4; ++k) ok_result(server.handle_line(step_request(sid)));
+  ok_result(server.handle_line(close_request(sid)));
+
   const std::string stats_request =
       "{\"schema\":\"otem.serve.v1\",\"method\":\"stats\"}";
   const Json first = ok_result(server.handle_line(stats_request));
-  const Json second = ok_result(server.handle_line(stats_request, 2));
+  const Json second = ok_result(server.handle_line(stats_request));
   const Json* wa = first.find("workers");
   const Json* wb = second.find("workers");
   ASSERT_NE(wa, nullptr);
   ASSERT_NE(wb, nullptr);
   EXPECT_EQ(wa->find("count")->as_number(), 3.0);
-  // The per-worker KLL sketches merge in worker order: the merged
-  // quantiles must be identical on every stats call over the same
-  // traffic, whichever worker answers.
-  EXPECT_EQ(wa->find("request_latency_us")->dump(0),
-            wb->find("request_latency_us")->dump(0));
+  const Json* merged_a = wa->find("request_latency_us");
+  ASSERT_NE(merged_a, nullptr);
+  // Consecutive calls over the same traffic agree byte for byte.
+  EXPECT_EQ(merged_a->dump(0), wb->find("request_latency_us")->dump(0));
+
+  // The all-method view is the four request sketches folded in a fixed
+  // order: run, session.open, session.step, session.close.
+  obs::QuantileSketch merged;
+  for (const char* name :
+       {"serve.request.latency_us", "serve.session.open_us",
+        "serve.session.step_us", "serve.session.close_us"})
+    merged.merge(server.registry().sketch(name).collect());
+  EXPECT_EQ(merged.count(), 3u + 1u + 4u + 1u);
+  const obs::Sketch::Snapshot want = obs::summarize(merged);
+  EXPECT_EQ(merged_a->find("count")->as_number(),
+            static_cast<double>(want.count));
+  const std::pair<const char*, double> fields[] = {
+      {"min", want.min}, {"max", want.max}, {"p50", want.p50},
+      {"p95", want.p95}, {"p99", want.p99}, {"p999", want.p999}};
+  for (const auto& [field, value] : fields)
+    EXPECT_EQ(merged_a->find(field)->dump(0), Json(value).dump(0)) << field;
 }
 
 }  // namespace
