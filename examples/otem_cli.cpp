@@ -661,7 +661,8 @@ int main(int argc, char** argv) {
           "       otem_cli compare <cycle> [repeats=N] [metrics_out=path] "
           "[key=value...]\n"
           "       otem_cli serve <socket|host:port|--stdio> [queue_depth=N] "
-          "[threads=N] [workers=N] [cache_mb=N] [session_limit=N] "
+          "[threads=N runs executing at once] [workers=N] [cache_mb=N] "
+          "[session_limit=N] "
           "[session_ttl_s=S] [drain_timeout_s=S] [metrics_out=path] "
           "[trace_out=path] [key=value...]\n"
           "       otem_cli request <socket|host:port> "

@@ -415,6 +415,8 @@ class Parser {
     char* end = nullptr;
     const double v = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) fail("invalid number");
+    // A literal cannot spell infinity, so an infinite value overflowed.
+    if (std::isinf(v)) fail("number out of double range");
     return Json(v);
   }
 

@@ -52,7 +52,8 @@ class Json {
 
   /// Strict parse of one JSON document (trailing whitespace allowed,
   /// trailing garbage is an error). Throws otem::SimError with a byte
-  /// offset on malformed input or nesting deeper than kMaxParseDepth.
+  /// offset on malformed input, a number literal that overflows a
+  /// double, or nesting deeper than kMaxParseDepth.
   static Json parse(std::string_view text);
 
   /// Parser recursion guard: documents nesting deeper than this are

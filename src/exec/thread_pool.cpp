@@ -67,94 +67,23 @@ void ThreadPool::worker_loop() {
   std::uint64_t seen = 0;
   for (;;) {
     Batch* batch = nullptr;
-    std::shared_ptr<detail::TaskState> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       work_ready_.wait(lock, [&] {
-        return stopping_ || (current_ != nullptr && batch_id_ != seen) ||
-               !tasks_.empty();
+        return stopping_ || (current_ != nullptr && batch_id_ != seen);
       });
-      if (current_ != nullptr && batch_id_ != seen) {
-        // Batches first: parallel_for callers are blocked waiting,
-        // submit() callers hold a handle and can afford the queue.
-        batch = current_;
-        seen = batch_id_;
-        // Register under the mutex: the caller cannot retire the batch
-        // while any registered worker is inside it.
-        batch->active.fetch_add(1, std::memory_order_relaxed);
-      } else if (!tasks_.empty()) {
-        // Keep draining queued tasks even while stopping_: submitted
-        // work always completes, so handles never wait forever.
-        task = std::move(tasks_.front());
-        tasks_.pop_front();
-      } else if (stopping_) {
-        return;
-      } else {
-        continue;  // spurious wake between predicate and body
-      }
+      if (current_ == nullptr || batch_id_ == seen) return;  // stopping
+      batch = current_;
+      seen = batch_id_;
+      // Register under the mutex: the caller cannot retire the batch
+      // while any registered worker is inside it.
+      batch->active.fetch_add(1, std::memory_order_relaxed);
     }
-    if (batch != nullptr) {
-      run_batch(*batch);
-      std::lock_guard<std::mutex> lock(mutex_);
-      batch->active.fetch_sub(1, std::memory_order_relaxed);
-      batch_done_.notify_all();
-    } else {
-      run_task(*task);
-    }
-  }
-}
-
-void ThreadPool::run_task(detail::TaskState& task) {
-  const bool was_in_task = t_in_pool_task;
-  t_in_pool_task = true;
-  std::exception_ptr error;
-  try {
-    task.fn();
-  } catch (...) {
-    error = std::current_exception();
-  }
-  t_in_pool_task = was_in_task;
-  {
-    std::lock_guard<std::mutex> lock(task.mutex);
-    task.error = error;
-    task.done = true;
-  }
-  task.done_cv.notify_all();
-}
-
-TaskHandle ThreadPool::submit(std::function<void()> fn) {
-  auto state = std::make_shared<detail::TaskState>();
-  state->fn = std::move(fn);
-  if (workers_.empty() || t_in_pool_task) {
-    // No one to hand it to (width-1 pool), or we ARE the pool: run
-    // inline so a wait() on the handle can never deadlock.
-    run_task(*state);
-    return TaskHandle(std::move(state));
-  }
-  {
+    run_batch(*batch);
     std::lock_guard<std::mutex> lock(mutex_);
-    tasks_.push_back(state);
+    batch->active.fetch_sub(1, std::memory_order_relaxed);
+    batch_done_.notify_all();
   }
-  work_ready_.notify_one();
-  return TaskHandle(std::move(state));
-}
-
-size_t ThreadPool::pending_tasks() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return tasks_.size();
-}
-
-bool TaskHandle::done() const {
-  if (!state_) return false;
-  std::lock_guard<std::mutex> lock(state_->mutex);
-  return state_->done;
-}
-
-void TaskHandle::wait() {
-  if (!state_) return;
-  std::unique_lock<std::mutex> lock(state_->mutex);
-  state_->done_cv.wait(lock, [&] { return state_->done; });
-  if (state_->error) std::rethrow_exception(state_->error);
 }
 
 void ThreadPool::run_batch(Batch& batch) {
@@ -185,7 +114,7 @@ void ThreadPool::parallel_for(size_t n,
 
   // One batch at a time: a second caller queues here until the first
   // drains, so concurrent use of a shared pool is safe (if serialised).
-  std::lock_guard<std::mutex> submit(submit_mutex_);
+  std::lock_guard<std::mutex> serialise(batch_mutex_);
   Batch batch;
   batch.n = n;
   batch.fn = &fn;

@@ -1,7 +1,6 @@
 // thread_pool.h — execution subsystem: a work-stealing-free, index-batch
 // thread pool for the embarrassingly-parallel layers (parameter sweeps,
-// bench grids), plus a submit() side door for independent long-lived
-// tasks (the serve daemon's request dispatch).
+// bench grids).
 //
 // Design constraints, in order:
 //   1. Determinism — the pool never owns random state and never decides
@@ -22,10 +21,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -35,43 +31,6 @@ namespace otem::exec {
 /// Worker count the library defaults to: `OTEM_THREADS` when set to a
 /// positive integer, else std::thread::hardware_concurrency(), else 1.
 size_t default_concurrency();
-
-namespace detail {
-/// Shared state behind one submitted task; lives until the last
-/// TaskHandle and the executing worker both drop it.
-struct TaskState {
-  std::function<void()> fn;
-  std::mutex mutex;
-  std::condition_variable done_cv;
-  bool done = false;
-  std::exception_ptr error;
-};
-}  // namespace detail
-
-/// Joinable handle to one ThreadPool::submit() task. Handles are cheap
-/// shared views: copies wait on the same task. Cancellation is NOT the
-/// handle's job — pass the task a StopToken (exec/stop_token.h) and let
-/// the work stop cooperatively; the handle then observes completion.
-class TaskHandle {
- public:
-  TaskHandle() = default;
-
-  bool valid() const { return state_ != nullptr; }
-
-  /// True once the task has finished running (or faulted).
-  bool done() const;
-
-  /// Block until the task completes; rethrows the task's exception
-  /// here, like parallel_for does for batch tasks. No-op when invalid.
-  void wait();
-
- private:
-  friend class ThreadPool;
-  explicit TaskHandle(std::shared_ptr<detail::TaskState> state)
-      : state_(std::move(state)) {}
-
-  std::shared_ptr<detail::TaskState> state_;
-};
 
 class ThreadPool {
  public:
@@ -94,29 +53,6 @@ class ThreadPool {
   /// runs the nested range serially on that worker (no deadlock).
   void parallel_for(size_t n, const std::function<void(size_t)>& fn);
 
-  /// Map [0, n) through `fn`, collecting results by index.
-  template <typename Fn>
-  auto parallel_map(size_t n, Fn&& fn)
-      -> std::vector<decltype(fn(size_t{0}))> {
-    std::vector<decltype(fn(size_t{0}))> out(n);
-    parallel_for(n, [&](size_t i) { out[i] = fn(i); });
-    return out;
-  }
-
-  /// Enqueue one independent task and return immediately with a
-  /// joinable handle — the fire-and-join shape the serve daemon's
-  /// request dispatch needs, alongside the batch-shaped parallel_for.
-  /// Workers prefer batch work over queued tasks, so submit() traffic
-  /// never starves an in-flight parallel_for. Two situations run the
-  /// task inline on the calling thread before returning (the handle is
-  /// already done): a pool with no workers (threads == 1), and a
-  /// submit() from inside a pool task (waiting on a queue only this
-  /// pool drains could otherwise deadlock a fully-busy pool).
-  TaskHandle submit(std::function<void()> fn);
-
-  /// Queued-but-not-started task count (diagnostics; racy by nature).
-  size_t pending_tasks() const;
-
   /// Shared process-wide pool sized by default_concurrency(); lazily
   /// constructed on first use.
   static ThreadPool& global();
@@ -126,18 +62,15 @@ class ThreadPool {
 
   void worker_loop();
   void run_batch(Batch& batch);
-  static void run_task(detail::TaskState& task);
 
   std::vector<std::thread> workers_;
-  std::mutex submit_mutex_;  ///< serialises whole batches
-  mutable std::mutex mutex_;
+  std::mutex batch_mutex_;  ///< serialises whole batches
+  std::mutex mutex_;
   std::condition_variable work_ready_;
   std::condition_variable batch_done_;
   Batch* current_ = nullptr;
   std::uint64_t batch_id_ = 0;
   bool stopping_ = false;
-  /// Submitted tasks awaiting a worker; drained before shutdown.
-  std::deque<std::shared_ptr<detail::TaskState>> tasks_;
 };
 
 /// Convenience: parallel_for on the global pool, honouring `threads`

@@ -26,6 +26,7 @@
 #include "common/logging.h"
 #include "core/methodology_registry.h"
 #include "core/system_spec.h"
+#include "exec/thread_pool.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
 #include "serve/codec.h"
@@ -125,7 +126,6 @@ Server::Server(const ServerOptions& options)
       sessions_(SessionLimits{options.session_limit, options.session_ttl_s},
                 registry_),
       run_instruments_(registry_),
-      pool_(std::make_unique<exec::ThreadPool>(options.threads)),
       latency_sketch_(registry_.sketch("serve.request.latency_us")),
       session_open_sketch_(registry_.sketch("serve.session.open_us")),
       session_step_sketch_(registry_.sketch("serve.session.step_us")),
@@ -133,6 +133,8 @@ Server::Server(const ServerOptions& options)
       queue_wait_sketch_(registry_.sketch("serve.queue.wait_us")),
       queue_depth_(registry_.gauge("serve.queue.depth")) {
   options_.workers = std::max<size_t>(options_.workers, 1);
+  if (options_.threads == 0) options_.threads = exec::default_concurrency();
+  free_run_slots_ = options_.threads;
   for (const std::string_view method : kMethodNames) {
     request_counters_.push_back(&registry_.counter(
         "serve.requests." + std::string(method)));
@@ -171,6 +173,29 @@ bool Server::try_admit() {
 void Server::release_admission() {
   const size_t now = admitted_.fetch_sub(1, std::memory_order_acq_rel) - 1;
   queue_depth_.set(static_cast<double>(now));
+}
+
+bool Server::acquire_run_slot(const exec::StopToken& token) {
+  std::unique_lock<std::mutex> lock(run_slots_mutex_);
+  // The stop is tested first, so it wins over a free slot.
+  const auto ready = [&] {
+    return token.stop_requested() || free_run_slots_ > 0;
+  };
+  // Nothing notifies a stop (a deadline is only a time point, and drain
+  // just flips the flag), so a waiter re-checks every millisecond.
+  while (!run_slot_freed_.wait_for(lock, std::chrono::milliseconds(1), ready)) {
+  }
+  if (token.stop_requested()) return false;
+  --free_run_slots_;
+  return true;
+}
+
+void Server::release_run_slot() {
+  {
+    std::lock_guard<std::mutex> lock(run_slots_mutex_);
+    ++free_run_slots_;
+  }
+  run_slot_freed_.notify_one();
 }
 
 std::uint64_t Server::register_inflight(const exec::StopSource& source) {
@@ -337,6 +362,14 @@ std::string Server::resolve_scenario(const Request& req, Config& merged,
 }
 
 std::string Server::handle_run(const Request& req) {
+  // A deadline past the steady clock's range would overflow the time
+  // point the stop source is armed with (and read as long expired).
+  if (std::chrono::duration<double, std::milli>(req.deadline_ms) >=
+      std::chrono::steady_clock::time_point::max() -
+          std::chrono::steady_clock::now()) {
+    return error_response(req.id, ErrorCode::kBadRequest,
+                          "'deadline_ms' is beyond the steady clock's range");
+  }
   Config merged;
   sim::Scenario scenario;
   if (std::string refused = resolve_scenario(req, merged, scenario);
@@ -378,35 +411,49 @@ std::string Server::handle_run(const Request& req) {
           : exec::StopSource();
   const std::uint64_t inflight_id = register_inflight(source);
 
-  std::string result_json;
   const exec::StopToken token = source.token();
   const obs::TraceSpan dispatch_span("serve.dispatch");
-  const double enqueued_us = obs::now_us();
-  exec::TaskHandle handle = pool_->submit([&] {
+  std::string response;
+  try {
+    // The run executes here, on its connection thread, once a run slot
+    // is free; the time until then is its queue wait.
+    const double enqueued_us = obs::now_us();
+    const bool slotted = acquire_run_slot(token);
     const double wait_us = obs::now_us() - enqueued_us;
     queue_wait_sketch_.record(wait_us);
     obs::trace_emit("serve.queue_wait", enqueued_us, wait_us);
-    const obs::TraceSpan run_span("serve.run");
-    const core::SystemSpec spec = core::SystemSpec::from_config(merged);
-    // Aggregate this run's sim/solver telemetry into the server
-    // registry: the metrics method then reports warm-start hits,
-    // ADMM iteration distributions etc. across every served run.
-    sim::DiagnosticsSink diagnostics(run_instruments_);
-    const sim::ScenarioOutcome outcome =
-        sim::run_scenario(scenario, spec, merged, {&diagnostics}, token);
-    Json result = Json::object();
-    result.set("methodology", scenario.methodology);
-    result.set("steps", outcome.power.size());
-    result.set("distance_m", outcome.distance_m);
-    result.set("report", sim::run_result_to_json(outcome.result));
-    if (req.hex_doubles)
-      result.set("report_hex", sim::run_result_to_hex_json(outcome.result));
-    result_json = result.dump(0);
-  });
-
-  std::string response;
-  try {
-    handle.wait();
+    if (!slotted) {
+      throw SimCancelled(token.deadline_expired()
+                             ? "deadline expired before the run started"
+                             : "cancelled before the run started");
+    }
+    std::string result_json;
+    {
+      // Gives the slot back however the run ends.
+      struct SlotRelease {
+        explicit SlotRelease(Server& s) : server(s) {}
+        SlotRelease(const SlotRelease&) = delete;
+        SlotRelease& operator=(const SlotRelease&) = delete;
+        ~SlotRelease() { server.release_run_slot(); }
+        Server& server;
+      } const slot(*this);
+      const obs::TraceSpan run_span("serve.run");
+      const core::SystemSpec spec = core::SystemSpec::from_config(merged);
+      // Aggregate this run's sim/solver telemetry into the server
+      // registry: the metrics method then reports warm-start hits,
+      // ADMM iteration distributions etc. across every served run.
+      sim::DiagnosticsSink diagnostics(run_instruments_);
+      const sim::ScenarioOutcome outcome =
+          sim::run_scenario(scenario, spec, merged, {&diagnostics}, token);
+      Json result = Json::object();
+      result.set("methodology", scenario.methodology);
+      result.set("steps", outcome.power.size());
+      result.set("distance_m", outcome.distance_m);
+      result.set("report", sim::run_result_to_json(outcome.result));
+      if (req.hex_doubles)
+        result.set("report_hex", sim::run_result_to_hex_json(outcome.result));
+      result_json = result.dump(0);
+    }
     if (claimed) cache_.fill(cache_key, result_json);
     response = build_ok_response(req.id, false, result_json);
   } catch (const SimCancelled& e) {
@@ -751,7 +798,7 @@ int Server::serve_unix(const std::string& socket_path) {
                "serve: cannot listen on " + socket_path);
 
   log::info("serve: listening on ", socket_path, " (workers=",
-            options_.workers, " threads=", pool_->thread_count(),
+            options_.workers, " threads=", options_.threads,
             " queue_depth=", options_.queue_depth,
             " cache_bytes=", options_.cache_bytes, ")");
 
@@ -801,7 +848,7 @@ int Server::serve_tcp(const std::string& host_port) {
     bound_port_.store(ntohs(bound.sin_port), std::memory_order_release);
 
   log::info("serve: listening on ", host, ":", bound_port(), " (workers=",
-            options_.workers, " threads=", pool_->thread_count(),
+            options_.workers, " threads=", options_.threads,
             " queue_depth=", options_.queue_depth,
             " cache_bytes=", options_.cache_bytes, ")");
 

@@ -9,9 +9,11 @@
 //       {"error":"overloaded"} rather than buffered into unbounded
 //       latency (clients retry with backoff). ping/metrics/stats/
 //       methods are control-plane and never queue.
-//   dispatch       — admitted runs execute on an exec::ThreadPool via
-//       submit(); the session thread joins the handle, so slow clients
-//       only ever block themselves.
+//   run gate       — an admitted run executes on the connection thread
+//       that received it, once one of `threads` run slots is free; so
+//       at most `threads` runs execute at once, and a slow client only
+//       ever blocks itself. A run whose deadline or drain fires while
+//       it waits for a slot is answered without stepping.
 //   result cache   — serve/cache.h keyed by the canonical resolved
 //       scenario; repeat queries are O(1) and byte-identical.
 //   deadlines      — a per-request exec::StopSource with the client's
@@ -40,7 +42,7 @@
 //
 // Mission sessions (serve/session.h): session.open resolves a scenario
 // and pins a resident controller + plant state; session.step executes
-// ONE control step on the connection thread — no pool dispatch, no
+// ONE control step on the connection thread — no run gate, no
 // admission queue, warm starts carried across frames — and returns the
 // decision; session.close returns the accumulated report. Idle
 // sessions are evicted LRU-with-TTL; drain drops the whole table after
@@ -51,7 +53,7 @@
 // (`run`), serve.session.open_us, serve.session.step_us and
 // serve.session.close_us, each timed from frame entry to reply on
 // every completion path, so a run's latency includes its queue wait —
-// and the pool's queue-wait sketch, request counters for the eight
+// the run gate's queue-wait sketch, request counters for the eight
 // protocol methods (unknown ones count only as an error),
 // per-code error counters, cache hit/miss/coalesced/eviction
 // counters and byte/entry gauges, connection counter. The `stats`
@@ -66,14 +68,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/config.h"
 #include "exec/stop_token.h"
-#include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "serve/cache.h"
 #include "serve/protocol.h"
@@ -86,7 +86,8 @@ struct ServerOptions {
   /// Maximum run requests queued or executing at once; further runs
   /// are refused with {"error":"overloaded"}.
   size_t queue_depth = 16;
-  /// Worker pool width; 0 = exec::default_concurrency().
+  /// Runs executing at once, each on the connection thread that
+  /// received it; 0 = exec::default_concurrency().
   size_t threads = 0;
   /// Result-cache budget in bytes; 0 disables caching.
   size_t cache_bytes = 64u << 20;
@@ -188,6 +189,12 @@ class Server {
   bool try_admit();
   void release_admission();
 
+  /// Wait for one of the `threads` run slots: true once this thread
+  /// holds one (give it back with release_run_slot()), false as soon as
+  /// `token` has stopped — a stopped run never takes a slot.
+  bool acquire_run_slot(const exec::StopToken& token);
+  void release_run_slot();
+
   std::uint64_t register_inflight(const exec::StopSource& source);
   void unregister_inflight(std::uint64_t id);
 
@@ -204,10 +211,13 @@ class Server {
   /// request (sharded instruments make concurrent runs safe), so the
   /// metrics method surfaces solver.qp_warm_hits & co fleet-wide.
   sim::DiagnosticsSink::Instruments run_instruments_;
-  std::unique_ptr<exec::ThreadPool> pool_;
 
   std::atomic<bool> stop_{false};
   std::atomic<size_t> admitted_{0};
+
+  std::mutex run_slots_mutex_;
+  std::condition_variable run_slot_freed_;
+  size_t free_run_slots_ = 0;
 
   mutable std::mutex inflight_mutex_;
   std::map<std::uint64_t, exec::StopSource> inflight_;
@@ -224,7 +234,7 @@ class Server {
 
   /// Request latency, frame entry to reply, one sketch per method:
   /// `run`, session.open, session.step (the headline sub-millisecond
-  /// tier) and session.close. With the pool's queue wait they are the
+  /// tier) and session.close. With the run gate's queue wait they are the
   /// quantiles of the `stats` method and the otem.metrics.v2
   /// "sketches" section.
   obs::Sketch& latency_sketch_;

@@ -1,6 +1,9 @@
 #include "serve/session.h"
 
+#include <cmath>
+
 #include "common/error.h"
+#include "common/strings.h"
 #include "core/methodology_registry.h"
 
 namespace otem::serve {
@@ -36,7 +39,17 @@ Session::StepOutcome Session::step(bool has_p, double p_request_w) {
   StepOutcome out;
   out.k = stepper_.steps();
   out.p_request_w = p_request_w;
-  if (!has_p) {
+  if (has_p) {
+    // No step can draw more than both storages at their power caps; a
+    // request past that would be accounted as if served, for good.
+    const double limit =
+        spec_.hybrid.max_battery_power_w + spec_.ultracap.max_power_w;
+    if (!(std::abs(p_request_w) <= limit)) {
+      throw SimError("session '" + id_ + "': p_request_w must be within " +
+                     "+/-" + strings::format_double(limit, 0) +
+                     " W (hees.max_battery_power + ultracap.max_power_w)");
+    }
+  } else {
     OTEM_REQUIRE(out.k < power_.size(),
                  "session '" + id_ + "' route exhausted after " +
                      std::to_string(power_.size()) +

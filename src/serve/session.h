@@ -70,7 +70,9 @@ class Session {
   /// Execute one plant step. `has_p` supplies an explicit power request
   /// (deviating from the forecast, as real traffic does); otherwise the
   /// session serves the next value of its own route trace. Throws
-  /// otem::SimError once the route is exhausted and no explicit request
+  /// otem::SimError, leaving the session as it was, when an explicit
+  /// request exceeds hees.max_battery_power + ultracap.max_power_w in
+  /// magnitude, or once the route is exhausted and no explicit request
   /// is given.
   StepOutcome step(bool has_p, double p_request_w);
 

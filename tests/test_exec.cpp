@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "exec/stop_token.h"
@@ -46,15 +45,6 @@ TEST(ThreadPool, SerialPoolVisitsInOrder) {
   std::vector<size_t> order;
   pool.parallel_for(5, [&](size_t i) { order.push_back(i); });
   EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
-}
-
-TEST(ThreadPool, ParallelMapCollectsByIndex) {
-  ThreadPool pool(4);
-  const std::vector<int> out =
-      pool.parallel_map(8, [](size_t i) { return static_cast<int>(i * i); });
-  ASSERT_EQ(out.size(), 8u);
-  for (size_t i = 0; i < out.size(); ++i)
-    EXPECT_EQ(out[i], static_cast<int>(i * i));
 }
 
 TEST(ThreadPool, PropagatesTheFirstException) {
@@ -116,96 +106,6 @@ TEST(ThreadPool, FreeFunctionExplicitWidthVisitsAll) {
   parallel_for(64, [&](size_t i) { hits[i].fetch_add(1); },
                /*threads=*/3);
   for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
-// --- submit(): independent joinable tasks -----------------------------------
-
-TEST(Submit, RunsTaskAndWaitJoins) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  TaskHandle h = pool.submit([&] { ran.fetch_add(1); });
-  ASSERT_TRUE(h.valid());
-  h.wait();
-  EXPECT_TRUE(h.done());
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(Submit, ManyTasksAllComplete) {
-  ThreadPool pool(4);
-  std::atomic<long> sum{0};
-  std::vector<TaskHandle> handles;
-  for (long i = 0; i < 100; ++i)
-    handles.push_back(pool.submit([&sum, i] { sum.fetch_add(i); }));
-  for (TaskHandle& h : handles) h.wait();
-  EXPECT_EQ(sum.load(), 4950);
-}
-
-TEST(Submit, WaitRethrowsTheTaskException) {
-  ThreadPool pool(2);
-  TaskHandle h = pool.submit([] { throw std::runtime_error("task boom"); });
-  EXPECT_THROW(h.wait(), std::runtime_error);
-  EXPECT_TRUE(h.done());  // faulted counts as finished
-}
-
-TEST(Submit, SerialPoolRunsInline) {
-  ThreadPool pool(1);  // no workers: must not deadlock
-  bool ran = false;
-  TaskHandle h = pool.submit([&] { ran = true; });
-  EXPECT_TRUE(ran);  // already executed on the calling thread
-  EXPECT_TRUE(h.done());
-  h.wait();
-}
-
-TEST(Submit, FromInsideAPoolTaskRunsInline) {
-  ThreadPool pool(2);
-  std::atomic<bool> inner_ran{false};
-  TaskHandle outer = pool.submit([&] {
-    // A nested submit must not wait on a queue only this pool drains.
-    TaskHandle inner = pool.submit([&] { inner_ran.store(true); });
-    EXPECT_TRUE(inner.done());
-  });
-  outer.wait();
-  EXPECT_TRUE(inner_ran.load());
-}
-
-TEST(Submit, CoexistsWithParallelForBatches) {
-  ThreadPool pool(4);
-  std::atomic<int> task_runs{0};
-  std::vector<TaskHandle> handles;
-  for (int i = 0; i < 16; ++i)
-    handles.push_back(pool.submit([&] { task_runs.fetch_add(1); }));
-  // Batch work keeps its bit-identical semantics with tasks in flight.
-  std::atomic<long> sum{0};
-  pool.parallel_for(1000, [&](size_t i) {
-    sum.fetch_add(static_cast<long>(i));
-  });
-  EXPECT_EQ(sum.load(), 499500);
-  for (TaskHandle& h : handles) h.wait();
-  EXPECT_EQ(task_runs.load(), 16);
-}
-
-TEST(Submit, InvalidHandleIsInert) {
-  TaskHandle h;
-  EXPECT_FALSE(h.valid());
-  EXPECT_FALSE(h.done());
-  h.wait();  // no-op, must not crash
-}
-
-TEST(Submit, CooperativeCancellationViaStopToken) {
-  ThreadPool pool(2);
-  StopSource source;
-  StopToken token = source.token();
-  std::atomic<int> iterations{0};
-  TaskHandle h = pool.submit([&] {
-    while (!token.stop_requested()) {
-      iterations.fetch_add(1);
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  source.request_stop();
-  h.wait();  // returns only because the task observed the stop
-  EXPECT_GE(iterations.load(), 0);
-  EXPECT_TRUE(h.done());
 }
 
 // --- stop tokens ------------------------------------------------------------

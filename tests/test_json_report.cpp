@@ -302,6 +302,18 @@ TEST(JsonParse, RejectsMalformedDocuments) {
   EXPECT_THROW(Json::parse("\"\\x\""), SimError);      // unknown escape
 }
 
+TEST(JsonParse, RefusesNumbersThatOverflowADouble) {
+  // A literal cannot spell infinity, so one that reads as infinite
+  // overflowed; no parsed document carries a non-finite number.
+  EXPECT_THROW(Json::parse("1e400"), SimError);
+  EXPECT_THROW(Json::parse("-1e400"), SimError);
+  EXPECT_THROW(Json::parse("{\"p_request_w\":1e309}"), SimError);
+  // The largest double still parses, and so does underflow to zero.
+  EXPECT_EQ(Json::parse("1.7976931348623157e308").as_number(),
+            std::numeric_limits<double>::max());
+  EXPECT_EQ(Json::parse("1e-400").as_number(), 0.0);
+}
+
 TEST(JsonParse, DepthGuardStopsHostileNesting) {
   const size_t over = static_cast<size_t>(Json::kMaxParseDepth) + 8;
   EXPECT_THROW(Json::parse(std::string(over, '[') + std::string(over, ']')),

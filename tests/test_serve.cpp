@@ -1,13 +1,15 @@
 // Tests for the serve subsystem: otem.serve.v1 protocol golden
 // transcripts, frame codec (oversized frames, pipelining, EOF), the
 // single-flight result cache, canonical cache keys, admission
-// backpressure, deadlines, drain semantics and the stdio transport.
+// backpressure, the run gate, deadlines, drain semantics and the stdio
+// transport.
 //
 // Everything here drives Server::handle_line (the transport-free core)
 // or real pipes — no Unix socket is needed; CI's smoke job covers the
 // socket path end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -71,6 +73,19 @@ void wait_for_inflight(Server& server, size_t n) {
   while (server.active_requests() != n) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << "timed out waiting for " << n << " in-flight request(s)";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+/// Spin until `n` runs have stopped waiting for a run slot (or fail): a
+/// run's queue wait is recorded the moment it takes its slot.
+void wait_for_queue_waits(Server& server, size_t n) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.registry().sketch("serve.queue.wait_us").snapshot().count <
+         n) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "timed out waiting for " << n << " run(s) to take a slot";
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 }
@@ -356,6 +371,29 @@ TEST(ServeRun, ExpiredDeadlineAnswersDeadlineExceeded) {
   EXPECT_EQ(server.active_requests(), 0u);
 }
 
+TEST(ServeRun, DeadlinesBeyondTheSteadyClockAreBadRequests) {
+  // The steady clock spans about 292 years of nanoseconds: 1e13 ms is
+  // past it, 1e300 ms far past, and 1e400 does not even parse as a
+  // double. None may arm a stop source; 1e12 ms (~32 years) runs.
+  Server server(test_options());
+  for (const char* deadline : {"1e13", "1e300", "1e400"}) {
+    const std::string resp = server.handle_line(
+        std::string("{\"schema\":\"otem.serve.v1\",\"method\":\"run\","
+                    "\"cache\":\"bypass\",\"deadline_ms\":") +
+        deadline +
+        ",\"overrides\":{\"method\":\"parallel\",\"synthetic\":true,"
+        "\"synthetic_duration_s\":30}}");
+    EXPECT_NE(resp.find("\"error\":\"bad_request\""), std::string::npos)
+        << deadline << ": " << resp;
+  }
+  const std::string resp = server.handle_line(
+      "{\"schema\":\"otem.serve.v1\",\"method\":\"run\",\"cache\":"
+      "\"bypass\",\"deadline_ms\":1e12,\"overrides\":{\"method\":"
+      "\"parallel\",\"synthetic\":true,\"synthetic_duration_s\":30}}");
+  EXPECT_NE(resp.find("\"ok\":true"), std::string::npos) << resp;
+  EXPECT_EQ(server.active_requests(), 0u);
+}
+
 TEST(ServeRun, UnknownMethodologyIsABadRequestNotACrash) {
   Server server(test_options());
   const std::string resp = server.handle_line(
@@ -495,6 +533,119 @@ TEST(ServeDrain, CancelsInFlightWorkThenRefusesNewWork) {
   EXPECT_NE(server.handle_line(short_run_request())
                 .find("\"error\":\"draining\""),
             std::string::npos);
+}
+
+// --- the run gate: `threads` runs execute at once ---------------------------
+
+/// An uncached run of some tens of milliseconds (~20 ms in a Release
+/// build): long enough that two of them executing at once overlap
+/// unambiguously, whatever the skew between their clients.
+const char* const kGatedRunRequest =
+    "{\"schema\":\"otem.serve.v1\",\"method\":\"run\",\"cache\":"
+    "\"bypass\",\"overrides\":{\"method\":\"parallel\","
+    "\"synthetic\":true,\"synthetic_duration_s\":900,\"repeats\":100}}";
+
+/// Tracing is process-global state: restore it however a test ends.
+struct TraceGuard {
+  TraceGuard() { obs::trace_reset(); }
+  ~TraceGuard() {
+    obs::set_trace_enabled(false);
+    obs::trace_reset();
+  }
+};
+
+/// The serve.run spans the tracer recorded, in start order.
+std::vector<obs::SpanRecord> run_spans() {
+  std::vector<obs::SpanRecord> runs;
+  for (const obs::SpanRecord& span : obs::TraceCollector().collect())
+    if (std::string(span.name) == "serve.run") runs.push_back(span);
+  std::sort(runs.begin(), runs.end(),
+            [](const obs::SpanRecord& a, const obs::SpanRecord& b) {
+              return a.ts_us < b.ts_us;
+            });
+  return runs;
+}
+
+/// Sends `clients` copies of `request` to `server` at once; every reply
+/// must be ok.
+void run_concurrently(Server& server, size_t clients,
+                      const std::string& request) {
+  std::vector<std::thread> threads;
+  threads.reserve(clients);
+  for (size_t i = 0; i < clients; ++i)
+    threads.emplace_back([&] {
+      const std::string resp = server.handle_line(request);
+      EXPECT_NE(resp.find("\"ok\":true"), std::string::npos) << resp;
+    });
+  for (std::thread& t : threads) t.join();
+}
+
+ServerOptions traced_options(size_t threads) {
+  ServerOptions opts = test_options();
+  opts.threads = threads;
+  opts.trace_out = "/dev/null";  // enables tracing for the lifetime
+  return opts;
+}
+
+TEST(ServeRunGate, OneSlotNeverExecutesTwoRunsAtOnce) {
+  const TraceGuard guard;
+  Server server(traced_options(1));
+  run_concurrently(server, 2, kGatedRunRequest);
+  const std::vector<obs::SpanRecord> runs = run_spans();
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_LE(runs[0].ts_us + runs[0].dur_us, runs[1].ts_us)
+      << "threads=1 ran two missions at once";
+}
+
+TEST(ServeRunGate, TwoSlotsExecuteTwoRunsAtOnce) {
+  const TraceGuard guard;
+  Server server(traced_options(2));
+  run_concurrently(server, 2, kGatedRunRequest);
+  const std::vector<obs::SpanRecord> runs = run_spans();
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_GT(runs[0].ts_us + runs[0].dur_us, runs[1].ts_us)
+      << "threads=2 ran its two missions one at a time";
+}
+
+TEST(ServeRunGate, WaitersAreCancelledByDrainWithoutStepping) {
+  // One slot, held by a long run: a second run waits for the slot. A
+  // drain cancels both; the waiter answers without ever executing.
+  const TraceGuard guard;
+  Server server(traced_options(1));
+  std::string holder, waiter;
+  std::thread first([&] { holder = server.handle_line(long_run_request()); });
+  wait_for_queue_waits(server, 1);
+  std::thread second([&] { waiter = server.handle_line(long_run_request()); });
+  wait_for_inflight(server, 2);
+  server.request_stop();
+  server.drain();
+  first.join();
+  second.join();
+  EXPECT_NE(holder.find("\"error\":\"cancelled\""), std::string::npos)
+      << holder;
+  EXPECT_NE(waiter.find("\"error\":\"cancelled\""), std::string::npos)
+      << waiter;
+  EXPECT_EQ(run_spans().size(), 1u);
+  EXPECT_EQ(server.registry().sketch("serve.queue.wait_us").snapshot().count,
+            2u);
+}
+
+TEST(ServeRunGate, WaiterWhoseDeadlineExpiresAnswersDeadlineExceeded) {
+  ServerOptions opts = test_options();
+  opts.threads = 1;
+  Server server(opts);
+  std::thread holder([&] { (void)server.handle_line(long_run_request()); });
+  wait_for_queue_waits(server, 1);
+  const std::string waiter = server.handle_line(
+      "{\"schema\":\"otem.serve.v1\",\"method\":\"run\",\"cache\":"
+      "\"bypass\",\"deadline_ms\":20,\"overrides\":{\"method\":"
+      "\"parallel\",\"synthetic\":true,\"synthetic_duration_s\":30}}");
+  EXPECT_NE(waiter.find("\"error\":\"deadline_exceeded\""),
+            std::string::npos)
+      << waiter;
+  server.request_stop();
+  server.drain();
+  holder.join();
 }
 
 // --- frame codec ------------------------------------------------------------
@@ -702,30 +853,17 @@ TEST(CacheKey, SpecOverridesLandInTheSortedTail) {
 // --- observability: queue wait, latency sketches, stats ---------------------
 
 TEST(ServeObs, QueueWaitIsRecordedUnderLoad) {
-  // One pool thread + several concurrent admissions: all but the first
-  // run MUST sit in the pool queue, and that wait has to land in the
-  // serve.queue.wait_us sketch and (because latency is measured from
-  // frame entry) in the serve.request.latency_us one.
-  ServerOptions opts = test_options();
-  opts.threads = 1;
+  // One run slot and four concurrent uncached runs: they execute one at
+  // a time, so the last to get the slot waited through at least one
+  // whole run of another. That wait lands in the serve.queue.wait_us
+  // sketch and (because latency is measured from frame entry) in the
+  // serve.request.latency_us one.
+  const TraceGuard guard;
+  ServerOptions opts = traced_options(1);
   opts.queue_depth = 4;
   Server server(opts);
-
   constexpr size_t kClients = 4;
-  std::vector<std::thread> clients;
-  clients.reserve(kClients);
-  for (size_t i = 0; i < kClients; ++i)
-    clients.emplace_back([&, i] {
-      // Distinct durations + cache bypass: every request computes.
-      const std::string req =
-          "{\"schema\":\"otem.serve.v1\",\"method\":\"run\",\"cache\":"
-          "\"bypass\",\"overrides\":{\"method\":\"parallel\","
-          "\"synthetic\":true,\"synthetic_duration_s\":" +
-          std::to_string(30 + i) + "}}";
-      const std::string resp = server.handle_line(req);
-      EXPECT_NE(resp.find("\"ok\":true"), std::string::npos) << resp;
-    });
-  for (std::thread& t : clients) t.join();
+  run_concurrently(server, kClients, kGatedRunRequest);
 
   const obs::Sketch::Snapshot wait =
       server.registry().sketch("serve.queue.wait_us").snapshot();
@@ -733,10 +871,14 @@ TEST(ServeObs, QueueWaitIsRecordedUnderLoad) {
       server.registry().sketch("serve.request.latency_us").snapshot();
   EXPECT_EQ(wait.count, kClients);
   EXPECT_EQ(latency.count, kClients);
-  // Serialized on one thread, the slowest request queued behind the
-  // others — its wait is non-trivial, and its end-to-end latency
-  // cannot be smaller than its own queue wait.
-  EXPECT_GT(wait.max, 0.0);
+  const std::vector<obs::SpanRecord> runs = run_spans();
+  ASSERT_EQ(runs.size(), kClients);
+  double shortest_run_us = runs[0].dur_us;
+  for (const obs::SpanRecord& run : runs)
+    shortest_run_us = std::min(shortest_run_us, run.dur_us);
+  EXPECT_GE(wait.max, shortest_run_us);
+  // A request's end-to-end latency cannot be smaller than its own
+  // queue wait.
   EXPECT_GE(latency.max, wait.max);
 }
 
@@ -775,17 +917,8 @@ TEST(ServeObs, StatsReportsNonTrivialQuantiles) {
 }
 
 TEST(ServeObs, TraceOutEnablesSpansVisibleInStats) {
-  // Tracing is process-global state: restore it however the test ends.
-  struct TraceGuard {
-    ~TraceGuard() {
-      obs::set_trace_enabled(false);
-      obs::trace_reset();
-    }
-  } guard;
-  obs::trace_reset();
-  ServerOptions opts = test_options();
-  opts.trace_out = "/dev/null";  // enables tracing for the lifetime
-  Server server(opts);
+  const TraceGuard guard;
+  Server server(traced_options(2));
   const std::string resp = server.handle_line(short_run_request());
   ASSERT_NE(resp.find("\"ok\":true"), std::string::npos) << resp;
   const std::string stats = server.handle_line(

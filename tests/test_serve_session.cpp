@@ -239,6 +239,41 @@ TEST(ServeSession, SteppingPastTheRouteWithoutARequestIsABadRequest) {
   EXPECT_EQ(step.find("k")->as_number(), static_cast<double>(route));
 }
 
+TEST(ServeSession, OutOfRangePowerRequestsAreRefusedAndLeaveTheSessionAsItWas) {
+  // No step can draw more than both storages at their power caps
+  // (hees.max_battery_power + ultracap.max_power_w, 240 kW by default),
+  // and 1e400 overflows a double. Each such frame is a bad_request, and
+  // the session it named streams on and reports exactly the bytes of a
+  // twin session that never saw one.
+  Server server(session_test_options());
+  const std::string sid =
+      session_id_of(ok_result(server.handle_line(open_request())));
+  const std::string twin =
+      session_id_of(ok_result(server.handle_line(open_request())));
+  ok_result(server.handle_line(step_request(sid)));
+  ok_result(server.handle_line(step_request(twin)));
+  for (const char* p :
+       {"1e300", "-1e300", "240000.5", "-240001", "1e400", "-1e400"}) {
+    EXPECT_EQ(error_code_of(server.handle_line(
+                  step_request(sid, std::string(",\"p_request_w\":") + p))),
+              "bad_request")
+        << p;
+  }
+  // The bound itself is served.
+  for (const std::string& s : {sid, twin})
+    ok_result(server.handle_line(step_request(s, ",\"p_request_w\":-240000")));
+  const auto report_hex = [&server](const std::string& s) {
+    const Json closed = ok_result(server.handle_line(
+        R"({"schema":"otem.serve.v1","method":"session.close",)"
+        R"("hex_doubles":true,"session":")" +
+        s + "\"}"));
+    EXPECT_EQ(closed.find("steps")->as_number(), 2.0);
+    const Json* hex = closed.find("report_hex");
+    return hex != nullptr ? hex->dump(0) : "";
+  };
+  EXPECT_EQ(report_hex(sid), report_hex(twin));
+}
+
 TEST(ServeSession, UnknownAndMissingSessionIdsAreStructuredErrors) {
   Server server(session_test_options());
   EXPECT_EQ(error_code_of(server.handle_line(step_request("s999"))),
