@@ -9,10 +9,10 @@ chrome://tracing / ui.perfetto.dev expect —
     traceEvents array;
   - every event is a complete-duration ("ph":"X") event carrying
     name/cat/ts/dur/pid/tid, with ts/dur finite and dur >= 0;
-  - events within one tid nest consistently (a child span named by
-    args.parent starts and ends inside some other event's interval is
-    NOT checked exactly — overwritten flight-recorder rings may drop
-    parents — but args.id/args.parent/args.depth must be present);
+  - every event carries args.id/args.parent/args.depth, and no two
+    events share an args.id (whether a child lies inside its parent's
+    interval is not checked: overwritten flight-recorder rings may
+    drop parents);
   - with --require NAME (repeatable), at least one event with that
     exact name exists — CI requires the scenario.run -> ltv.solve ->
     qp.factorize chain to prove every layer's spans survived to disk.
@@ -46,6 +46,7 @@ def main():
         return fail("traceEvents is missing or empty")
 
     names = {}
+    first_with_id = {}
     for i, e in enumerate(events):
         for field in REQUIRED_EVENT_FIELDS:
             if field not in e:
@@ -60,6 +61,11 @@ def main():
         for field in ("id", "parent", "depth"):
             if field not in span_args:
                 return fail(f"event {i} args lack '{field}': {e}")
+        span_id = span_args["id"]
+        if span_id in first_with_id:
+            return fail(f"events {first_with_id[span_id]} and {i} share "
+                        f"args.id {span_id}")
+        first_with_id[span_id] = i
         names[e["name"]] = names.get(e["name"], 0) + 1
 
     missing = [n for n in args.require if n not in names]

@@ -18,7 +18,7 @@
 
 #include "common/rng.h"
 #include "core/parallel_methodology.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 #include "obs/metrics.h"
 #include "obs/sketch.h"
 #include "obs/trace.h"
@@ -99,8 +99,8 @@ double run_fleet(const core::SystemSpec& base, size_t threads,
   return sum;
 }
 
-/// The fleet at a given execution width. threads=1 is the serial
-/// fallback path (no pool, no locks); results are bit-identical across
+/// The fleet at a given execution width. threads=1 runs inline on the
+/// calling thread (no threads started); results are bit-identical across
 /// widths by construction (pre-drawn mission conditions).
 void BM_FleetEvaluate(benchmark::State& state) {
   const size_t threads = static_cast<size_t>(state.range(0));

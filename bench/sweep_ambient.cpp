@@ -10,13 +10,13 @@
 // the cold pack's HIGHER internal resistance raises everyone's losses).
 //
 // The (ambient x methodology) grid cells are independent, so they run
-// on the exec thread pool ("threads=N" override, 0 = auto); rows are
+// through exec::parallel_for ("threads=N" override, 0 = auto); rows are
 // printed in grid order afterwards, so output is identical at any width.
 #include <iostream>
 #include <vector>
 
 #include "bench_common.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 #include "vehicle/hvac.h"
 
 using namespace otem;

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 #include "sim/metrics.h"
 
 using namespace otem;
@@ -53,8 +53,8 @@ int main(int argc, char** argv) {
                 "qloss_abs_percent", "max_tb_c", "violation_s"});
 
   // The (size x methodology) grid is embarrassingly parallel once the
-  // serial baseline above is fixed; run the cells on the exec pool and
-  // print in grid order so output is identical at any width.
+  // serial baseline above is fixed; run the cells through parallel_for
+  // and print in grid order so output is identical at any width.
   const size_t threads = static_cast<size_t>(cfg.get_long("threads", 0));
   const size_t cells = sizes.size() * methods.size();
   std::vector<sim::RunResult> results(cells);

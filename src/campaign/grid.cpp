@@ -5,6 +5,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "core/plant_state.h"
 #include "vehicle/drive_cycle.h"
 
 namespace otem::campaign {
@@ -123,6 +124,12 @@ void Grid::validate() const {
                "campaign grid: ambient draw range is inverted");
   OTEM_REQUIRE(soe0_min <= soe0_max,
                "campaign grid: soe0 range is inverted");
+  for (double a : ambients_k)
+    core::require_temperature_k("campaign grid: ambient_k", a);
+  core::require_temperature_k("campaign grid: ambient_min_k", ambient_min_k);
+  core::require_temperature_k("campaign grid: ambient_max_k", ambient_max_k);
+  core::require_percent("campaign grid: soe0_min", soe0_min);
+  core::require_percent("campaign grid: soe0_max", soe0_max);
   for (const std::string& c : cycles)
     vehicle::cycle_from_string(c);  // throws on an unknown cycle name
 }

@@ -5,18 +5,16 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <exception>
 #include <fstream>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 
 #include "campaign/checkpoint.h"
 #include "common/error.h"
 #include "common/strings.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 #include "serve/protocol.h"
 #include "sim/scenario.h"
 
@@ -55,10 +53,9 @@ class Committer {
         acc_(std::move(acc)),
         watermark_(watermark),
         pending_(std::move(pending)),
-        total_(total) {
-    capacity_ =
-        options.max_pending > 0 ? options.max_pending : 4 * width + 16;
-    last_checkpoint_ = watermark_;
+        total_(total),
+        capacity_(4 * width + 16),
+        last_checkpoint_(watermark) {
     // A restored checkpoint may carry a foldable prefix (defensively —
     // writers fold eagerly, so this is normally a no-op).
     std::unique_lock<std::mutex> lock(mutex_);
@@ -160,8 +157,8 @@ class Committer {
   std::uint64_t watermark_;
   std::map<std::uint64_t, ScenarioResult> pending_;
   const std::uint64_t total_;
-  size_t capacity_;
-  std::uint64_t last_checkpoint_ = 0;
+  const size_t capacity_;  ///< reorder-buffer bound
+  std::uint64_t last_checkpoint_;
   std::uint64_t run_ = 0;
   std::uint64_t checkpoints_ = 0;
   bool halted_ = false;
@@ -277,35 +274,23 @@ ScenarioResult parse_run_response(const std::string& line,
   }
   const Json* result = doc.find("result");
   OTEM_REQUIRE(result != nullptr, "campaign: fabric response missing result");
-  // Prefer the bit-exact hex report (we ask for it with hex_doubles);
-  // fall back to the numeric report for older daemons, accepting %.12g
-  // rounding there.
+  // build_run_request always asks for hex_doubles, and every daemon
+  // answers with the bit-exact report_hex, cached replies included.
   const Json* hex = result->find("report_hex");
-  if (hex != nullptr && hex->is_object()) {
-    ScenarioResult out;
-    for (size_t d = 0; d < ScenarioResult::kDims; ++d) {
-      const Json* v = hex->find(ScenarioResult::dim_name(d));
-      if (v != nullptr && v->is_number()) {
-        out.set_dim(d, v->as_number());  // e.g. infeasible_steps
-        continue;
-      }
-      OTEM_REQUIRE(v != nullptr && v->is_string(),
-                   std::string("campaign: fabric hex report missing ") +
-                       ScenarioResult::dim_name(d));
-      out.set_dim(d, strings::parse_hex_double(v->as_string()));
-    }
-    return out;
-  }
-  const Json* report = result->find("report");
-  OTEM_REQUIRE(report != nullptr && report->is_object(),
-               "campaign: fabric response missing report");
+  OTEM_REQUIRE(hex != nullptr && hex->is_object(),
+               "campaign: fabric reply for scenario " + s.id +
+                   " carries no report_hex");
   ScenarioResult out;
   for (size_t d = 0; d < ScenarioResult::kDims; ++d) {
-    const Json* v = report->find(ScenarioResult::dim_name(d));
-    OTEM_REQUIRE(v != nullptr && v->is_number(),
-                 std::string("campaign: fabric report missing ") +
+    const Json* v = hex->find(ScenarioResult::dim_name(d));
+    if (v != nullptr && v->is_number()) {
+      out.set_dim(d, v->as_number());  // e.g. infeasible_steps
+      continue;
+    }
+    OTEM_REQUIRE(v != nullptr && v->is_string(),
+                 std::string("campaign: fabric hex report missing ") +
                      ScenarioResult::dim_name(d));
-    out.set_dim(d, v->as_number());
+    out.set_dim(d, strings::parse_hex_double(v->as_string()));
   }
   return out;
 }
@@ -403,14 +388,12 @@ CampaignOutcome run_campaign(const Grid& grid,
         base_pairs.end());
   }
 
-  size_t threads = width;
-  if (total > 0 && threads > total) threads = static_cast<size_t>(total);
-
+  // min(width, total) copies of one worker loop, each claiming indices
+  // from one counter; a per-index fan-out would still visit every
+  // remaining index after a halt. A failing copy halts the committer, so
+  // the others stop at their next wait_turn, and parallel_for rethrows.
   std::atomic<std::uint64_t> next{restored_watermark};
-  std::mutex failure_mutex;
-  std::exception_ptr failure;
-
-  auto worker = [&]() {
+  const auto worker = [&](size_t) {
     for (;;) {
       const std::uint64_t index = next.fetch_add(1);
       if (index >= total) return;
@@ -418,29 +401,19 @@ CampaignOutcome run_campaign(const Grid& grid,
       if (!committer.wait_turn(index)) return;
       const ScenarioSpec s = grid.at(index);
       try {
-        ScenarioResult result =
-            fabric ? run_remote(s, base_spec, base_pairs, options)
-                   : run_local(s, base_spec, base_pairs, options);
-        committer.submit(index, std::move(result));
+        committer.submit(index,
+                         fabric ? run_remote(s, base_spec, base_pairs, options)
+                                : run_local(s, base_spec, base_pairs, options));
       } catch (const SimCancelled&) {
         return;  // stop token fired mid-mission; wait_turn halts next trip
       } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(failure_mutex);
-          if (!failure) failure = std::current_exception();
-        }
         committer.halt();
-        return;
+        throw;
       }
     }
   };
-
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-
-  if (failure) std::rethrow_exception(failure);
+  exec::parallel_for(static_cast<size_t>(std::min<std::uint64_t>(width, total)),
+                     worker, width);
 
   committer.finalize();
   outcome.scenarios_run = committer.scenarios_run();

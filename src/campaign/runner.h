@@ -12,8 +12,8 @@
 //     the accumulator state — and the rendered otem.campaign.v1
 //     summary — is byte-identical whether the campaign ran on one
 //     thread, sixteen, or was kill -9'd and resumed;
-//   * backpressure bounds the buffer: a worker whose index is further
-//     than max_pending ahead of the watermark waits, so memory stays
+//   * backpressure bounds the buffer: a worker whose index is 4 x width
+//     + 16 or more ahead of the watermark waits, so memory stays
 //     O(threads) regardless of campaign size. The worker holding the
 //     watermark index never waits — no deadlock;
 //   * every checkpoint_every commits (and once more on exit) the merged
@@ -92,9 +92,6 @@ struct CampaignOptions {
   /// the in-process stand-in for kill -9 (same checkpoint state, minus
   /// the torn process). 0 = run to completion.
   std::uint64_t halt_after_commits = 0;
-
-  /// Reorder-buffer bound; 0 = 4 * threads + 16.
-  size_t max_pending = 0;
 
   /// When non-empty, stream per-step telemetry of every scenario to
   /// "<prefix><scenario-id>.csv" (local execution only).

@@ -1,5 +1,6 @@
 #include "common/config.h"
 
+#include <cmath>
 #include <fstream>
 
 #include "common/error.h"
@@ -48,7 +49,12 @@ bool Config::has(const std::string& key) const {
 double Config::get_double(const std::string& key, double fallback) const {
   touch(key);
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : strings::parse_double(it->second);
+  if (it == values_.end()) return fallback;
+  const double v = strings::parse_double(it->second);
+  if (!std::isfinite(v))
+    throw SimError("config key '" + key + "' is not a finite number: '" +
+                   it->second + "'");
+  return v;
 }
 
 long Config::get_long(const std::string& key, long fallback) const {

@@ -39,6 +39,8 @@ class Config {
   bool has(const std::string& key) const;
 
   /// Fetch with fallback — the workhorse accessor for parameter structs.
+  /// get_double throws otem::SimError naming the key when the value
+  /// parses to NaN or an infinity.
   double get_double(const std::string& key, double fallback) const;
   long get_long(const std::string& key, long fallback) const;
   std::string get_string(const std::string& key,

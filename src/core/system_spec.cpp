@@ -1,6 +1,7 @@
 #include "core/system_spec.h"
 
 #include "common/error.h"
+#include "core/plant_state.h"
 
 namespace otem::core {
 
@@ -22,6 +23,7 @@ SystemSpec SystemSpec::from_config(const Config& cfg) {
       battery::PackModel(s.battery), ultracap::BankModel(s.ultracap), cfg);
   s.vehicle = vehicle::VehicleParams::from_config(cfg);
   s.ambient_k = cfg.get_double("ambient_k", s.ambient_k);
+  require_temperature_k("ambient_k", s.ambient_k);
   s.dt = cfg.get_double("dt", s.dt);
   OTEM_REQUIRE(s.dt > 0.0, "plant step must be positive");
   return s;

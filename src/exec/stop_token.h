@@ -2,10 +2,10 @@
 //
 // A StopSource owns a stop request; the StopTokens it hands out are
 // cheap shared views that long-running work (the simulator step loop,
-// tasks on the ThreadPool) consults between units of progress. Tokens
-// never interrupt anything — work stops only where it chooses to check,
-// which is what makes cancellation safe around sinks, file streams and
-// solver state.
+// campaign workers, daemon runs) consults between units of progress.
+// Tokens never interrupt anything — work stops only where it chooses to
+// check, which is what makes cancellation safe around sinks, file
+// streams and solver state.
 //
 // A deadline is just a pre-armed stop: with_deadline() makes a source
 // whose tokens start reporting stop_requested() once the steady clock

@@ -3,11 +3,12 @@
 // A MetricsRegistry owns named counters, gauges and quantile sketches
 // (obs/sketch.h). Counters and sketches are SHARDED: each instrument
 // keeps kShards cache-line-separated slots and a thread writes the slot
-// picked by its thread-local shard id, so concurrent missions on the
-// exec::ThreadPool update the same instrument without contending on one
-// cache line. snapshot() aggregates the shards into plain numbers. What
-// is exact once the registry is quiescent, at any thread count: counter
-// totals, sketch counts, min and max, and the sum of integer samples.
+// picked by its thread-local shard id, so concurrent missions (campaign
+// workers, exec::parallel_for ranges, daemon connections) update the
+// same instrument without contending on one cache line. snapshot()
+// aggregates the shards into plain numbers. What is exact once the
+// registry is quiescent, at any thread count: counter totals, sketch
+// counts, min and max, and the sum of integer samples.
 // Sketch quantiles hold within the sketch's rank error (<= 2 % at the
 // default k, pinned by tests/test_trace.cpp): shards follow threads, so
 // the merged sketch depends on how samples fell across them.

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 
 #include "obs/timer.h"
 
@@ -222,11 +223,21 @@ Json TraceCollector::to_chrome_json() const {
                      if (a.tid != b.tid) return a.tid < b.tid;
                      return a.ts_us < b.ts_us;
                    });
+  // Export ids are 1-based positions in this sorted output. A raw id is
+  // (tid << 40) | seq, more digits than the JSON number writer keeps, so
+  // written as-is, neighbouring spans would read the same id. A parent
+  // whose record was overwritten maps to 0.
+  std::unordered_map<std::uint64_t, std::uint64_t> export_id;
+  export_id.reserve(spans.size());
+  for (size_t i = 0; i < spans.size(); ++i)
+    export_id.emplace(spans[i].id, i + 1);
   Json root = Json::object();
   root.set("schema", "otem.trace.v1");
   root.set("displayTimeUnit", "ms");
   Json events = Json::array();
-  for (const SpanRecord& span : spans) {
+  for (size_t i = 0; i < spans.size(); ++i) {
+    const SpanRecord& span = spans[i];
+    const auto parent = export_id.find(span.parent);
     Json e = Json::object();
     e.set("name", span.name);
     e.set("cat", "otem");
@@ -236,8 +247,10 @@ Json TraceCollector::to_chrome_json() const {
     e.set("pid", 1.0);
     e.set("tid", static_cast<double>(span.tid));
     Json args = Json::object();
-    args.set("id", static_cast<double>(span.id));
-    args.set("parent", static_cast<double>(span.parent));
+    args.set("id", static_cast<double>(i + 1));
+    args.set("parent", parent == export_id.end()
+                           ? 0.0
+                           : static_cast<double>(parent->second));
     args.set("depth", static_cast<double>(span.depth));
     e.set("args", std::move(args));
     events.push(std::move(e));

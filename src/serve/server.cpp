@@ -9,8 +9,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <string_view>
+#include <system_error>
 #include <thread>
-#include <vector>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -26,7 +26,7 @@
 #include "common/logging.h"
 #include "core/methodology_registry.h"
 #include "core/system_spec.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
 #include "serve/codec.h"
@@ -715,15 +715,24 @@ void Server::accept_loop(int listen_fd, bool tcp) {
       std::lock_guard<std::mutex> lock(connections_mutex_);
       ++open_connections_;
     }
-    std::thread([this, client_fd] {
-      session_loop(client_fd, client_fd);
+    try {
+      std::thread([this, client_fd] {
+        session_loop(client_fd, client_fd);
+        ::close(client_fd);
+        // Notify under the lock, so ~Server cannot destroy the condition
+        // variable before this thread is done with it.
+        std::lock_guard<std::mutex> lock(connections_mutex_);
+        --open_connections_;
+        connections_done_.notify_all();
+      }).detach();
+    } catch (const std::system_error& e) {
+      // No thread for this connection (resource limits): hang up on it
+      // and keep accepting.
+      log::error("serve: cannot start a connection thread: ", e.what());
       ::close(client_fd);
-      // Notify under the lock, so ~Server cannot destroy the condition
-      // variable before this thread is done with it.
       std::lock_guard<std::mutex> lock(connections_mutex_);
       --open_connections_;
-      connections_done_.notify_all();
-    }).detach();
+    }
   }
 }
 
@@ -745,15 +754,12 @@ int Server::serve_listener(int listen_fd, bool tcp) {
   // not block.
   ::fcntl(listen_fd, F_SETFL, O_NONBLOCK);
 
-  // Workers 1..N-1 on their own threads, worker 0 on this one. The
-  // wake byte is deliberately never read: once written, every poller
-  // sees POLLIN forever, so ALL workers wake and observe stopping().
-  std::vector<std::thread> acceptors;
-  for (size_t w = 1; w < options_.workers; ++w)
-    acceptors.emplace_back(
-        [this, listen_fd, tcp] { accept_loop(listen_fd, tcp); });
-  accept_loop(listen_fd, tcp);
-  for (std::thread& t : acceptors) t.join();
+  // One acceptor per worker, this thread among them. The wake byte is
+  // deliberately never read: once written, every poller sees POLLIN
+  // forever, so ALL workers wake and observe stopping().
+  exec::parallel_for(
+      options_.workers, [&](size_t) { accept_loop(listen_fd, tcp); },
+      options_.workers);
 
   ::close(listen_fd);
   request_stop();  // make stopping() true for sessions even on signal path

@@ -38,6 +38,10 @@ Scenario Scenario::from_config(const Config& cfg) {
       cfg.get_double("t_coolant0_k", sc.initial.t_coolant_k);
   sc.initial.soe_percent = cfg.get_double("soe0", sc.initial.soe_percent);
   sc.initial.soc_percent = cfg.get_double("soc0", sc.initial.soc_percent);
+  core::require_temperature_k("t_battery0_k", sc.initial.t_battery_k);
+  core::require_temperature_k("t_coolant0_k", sc.initial.t_coolant_k);
+  core::require_percent("soe0", sc.initial.soe_percent);
+  core::require_percent("soc0", sc.initial.soc_percent);
   sc.record_trace = cfg.get_bool("record_trace", sc.record_trace);
   sc.trace_csv = cfg.get_string("trace_csv", sc.trace_csv);
   sc.metrics_out = cfg.get_string("metrics_out", sc.metrics_out);

@@ -7,6 +7,7 @@
 // the same bytes as one that was never interrupted.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -14,6 +15,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/checkpoint.h"
@@ -26,6 +28,8 @@
 #include "core/system_spec.h"
 #include "obs/sketch.h"
 #include "obs/trace.h"
+#include "serve/client.h"
+#include "serve/server.h"
 #include "vehicle/drive_cycle.h"
 
 namespace otem {
@@ -130,6 +134,37 @@ TEST(CampaignGrid, FromConfigParsesAxesAndValidates) {
   bad.set("campaign.cycles", "NOT_A_CYCLE");
   bad.set("campaign.synthetic_routes", "0");
   EXPECT_THROW(campaign::Grid::from_config(bad).validate(), SimError);
+}
+
+TEST(CampaignGrid, ValidateRefusesAmbientsAndChargesOutsideThePlantDomain) {
+  // The same domain SystemSpec and Scenario enforce, so a local campaign
+  // and its fabric twin refuse the same grids before any scenario runs.
+  using campaign::Grid;
+  const auto refused = [](auto mutate) {
+    Grid grid = small_grid();
+    mutate(grid);
+    try {
+      grid.validate();
+      return false;
+    } catch (const SimError&) {
+      return true;
+    }
+  };
+  EXPECT_TRUE(refused([](Grid& g) { g.ambients_k = {298.15, 1e300}; }));
+  EXPECT_TRUE(refused([](Grid& g) { g.ambients_k = {233.14}; }));
+  EXPECT_TRUE(refused([](Grid& g) { g.ambient_max_k = 358.16; }));
+  EXPECT_TRUE(refused([](Grid& g) { g.ambient_min_k = -1e300; }));
+  EXPECT_TRUE(refused([](Grid& g) { g.soe0_max = 100.5; }));
+  EXPECT_TRUE(refused([](Grid& g) { g.soe0_min = -1.0; }));
+  EXPECT_FALSE(refused([](Grid& g) {
+    g.ambients_k = {233.15, 358.15};
+    g.soe0_min = 0.0;
+    g.soe0_max = 100.0;
+  }));
+
+  Config cfg;
+  cfg.set("campaign.ambients_c", "-50,25");
+  EXPECT_THROW(Grid::from_config(cfg), SimError);
 }
 
 // --- sketch serialization -----------------------------------------------
@@ -375,6 +410,61 @@ TEST(CampaignRunner, LtvSolverStateStaysIsolatedAcrossThreads) {
   // Repeat at the same width: solver state resets per scenario.
   EXPECT_EQ(campaign::run_campaign(grid, spec, cfg, four).summary_text,
             serial);
+}
+
+TEST(CampaignFabric, SummaryMatchesLocalByteForByte) {
+  // The same grid run in-process and dispatched as otem.serve.v1 run
+  // requests to a daemon on a Unix socket: report_hex carries every
+  // report double bit for bit, so the summaries are the same bytes.
+  campaign::Grid grid;
+  grid.methodologies = {"parallel", "dual", "otem-ltv"};
+  grid.cycles.clear();
+  grid.synthetic_routes = 2;
+  grid.min_duration_s = 30.0;
+  grid.max_duration_s = 60.0;
+  grid.seed = 7;
+  Config cfg;
+  cfg.set("otem.horizon", "8");
+  const core::SystemSpec spec = core::SystemSpec::from_config(cfg);
+
+  campaign::CampaignOptions local;
+  local.threads = 2;
+  const std::string expected =
+      campaign::run_campaign(grid, spec, cfg, local).summary_text;
+  ASSERT_FALSE(expected.empty());
+
+  const std::string sock = temp_path("fabric.sock");
+  serve::ServerOptions server_options;
+  server_options.threads = 2;
+  server_options.workers = 2;
+  serve::Server server(server_options);
+  std::thread serving([&] { (void)server.serve_unix(sock); });
+  // Nothing may throw past here until `serving` is joined.
+  std::string fabric_summary;
+  try {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    for (;;) {
+      try {
+        serve::request_once(sock,
+                            R"({"schema":"otem.serve.v1","method":"ping"})");
+        break;
+      } catch (const SimError&) {
+        if (std::chrono::steady_clock::now() >= deadline) throw;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+    }
+    campaign::CampaignOptions fabric;
+    fabric.threads = 2;
+    fabric.serve_sockets = {sock};
+    fabric_summary =
+        campaign::run_campaign(grid, spec, cfg, fabric).summary_text;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "fabric campaign failed: " << e.what();
+  }
+  server.request_stop();
+  serving.join();
+  EXPECT_EQ(fabric_summary, expected);
 }
 
 TEST(CampaignRunner, OtemBeatsParallelInDistribution) {

@@ -109,6 +109,23 @@ TEST(Config, BadBoolThrows) {
   EXPECT_THROW(cfg.get_bool("flag", false), SimError);
 }
 
+TEST(Config, NonFiniteDoubleThrowsNamingTheKey) {
+  for (const char* value : {"nan", "-nan", "inf", "-inf", "1e400"}) {
+    Config cfg;
+    cfg.set("ambient_k", value);
+    try {
+      cfg.get_double("ambient_k", 298.15);
+      ADD_FAILURE() << value << " was accepted";
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find("'ambient_k'"), std::string::npos)
+          << e.what();
+    }
+  }
+  Config cfg;
+  cfg.set("ambient_k", "1e300");  // finite: the key's domain decides
+  EXPECT_EQ(cfg.get_double("ambient_k", 0.0), 1e300);
+}
+
 TEST(Config, FromArgsIgnoresNonPairs) {
   const char* argv[] = {"prog", "--verbose", "a=1", "b=two"};
   const Config cfg = Config::from_args(4, argv);

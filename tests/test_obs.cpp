@@ -22,7 +22,7 @@
 #include "common/error.h"
 #include "common/logging.h"
 #include "core/methodology_registry.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 #include "obs/jsonl.h"
 #include "obs/metrics.h"
 #include "rank_error.h"

@@ -386,6 +386,40 @@ TEST(Scenario, InvalidRepeatsThrow) {
   EXPECT_THROW(Scenario::from_config(cfg), SimError);
 }
 
+TEST(Scenario, StatesOutsideThePlantDomainThrow) {
+  // Temperatures within -40...+85 C, SoE and SoC within 0...100 %: the
+  // bounds themselves are accepted, anything past them is refused.
+  for (const char* key : {"t_battery0_k", "t_coolant0_k"}) {
+    for (const char* bad : {"233.14", "358.16", "1e300", "-1e300"}) {
+      Config cfg;
+      cfg.set(key, bad);
+      EXPECT_THROW(Scenario::from_config(cfg), SimError) << key << "=" << bad;
+    }
+    for (const char* good : {"233.15", "358.15"}) {
+      Config cfg;
+      cfg.set(key, good);
+      EXPECT_NO_THROW(Scenario::from_config(cfg)) << key << "=" << good;
+    }
+  }
+  for (const char* key : {"soe0", "soc0"}) {
+    for (const char* bad : {"-0.001", "100.001", "1e300"}) {
+      Config cfg;
+      cfg.set(key, bad);
+      EXPECT_THROW(Scenario::from_config(cfg), SimError) << key << "=" << bad;
+    }
+    for (const char* good : {"0", "100"}) {
+      Config cfg;
+      cfg.set(key, good);
+      EXPECT_NO_THROW(Scenario::from_config(cfg)) << key << "=" << good;
+    }
+  }
+  for (const char* bad : {"233.14", "358.16", "1e300"}) {
+    Config cfg;
+    cfg.set("ambient_k", bad);
+    EXPECT_THROW(core::SystemSpec::from_config(cfg), SimError) << bad;
+  }
+}
+
 TEST(Scenario, RunScenarioMatchesHandAssembledRun) {
   // The declarative runner must be the same computation as wiring
   // powertrain + registry + simulator by hand.

@@ -274,6 +274,59 @@ TEST(ServeSession, OutOfRangePowerRequestsAreRefusedAndLeaveTheSessionAsItWas) {
   EXPECT_EQ(report_hex(sid), report_hex(twin));
 }
 
+TEST(ServeSession, OutOfDomainOverridesAreRefusedAndOpenNoSession) {
+  // A temperature outside -40...+85 C, a charge outside 0...100 % or a
+  // number that parses non-finite never reaches a plant: session.open
+  // and run each answer bad_request, and the session table is left as
+  // it was.
+  Server server(session_test_options());
+  const std::string sid =
+      session_id_of(ok_result(server.handle_line(open_request())));
+  const auto run_request = [](const std::string& extra) {
+    return std::string(
+               "{\"schema\":\"otem.serve.v1\",\"method\":\"run\","
+               "\"overrides\":{\"method\":\"parallel\",\"synthetic\":true,"
+               "\"synthetic_duration_s\":30") +
+           extra + "}}";
+  };
+  const auto sessions_active = [&server] {
+    return ok_result(server.handle_line(
+                         R"({"schema":"otem.serve.v1","method":"stats"})"))
+        .find("sessions_active")
+        ->as_number();
+  };
+  for (const char* extra :
+       {R"(,"ambient_k":1e300)", R"(,"ambient_k":233.14)",
+        R"(,"ambient_k":"nan")", R"(,"soe0":"nan")", R"(,"soe0":100.5)",
+        R"(,"soc0":-1)", R"(,"t_battery0_k":"inf")",
+        R"(,"t_coolant0_k":400)"}) {
+    EXPECT_EQ(error_code_of(server.handle_line(open_request(extra))),
+              "bad_request")
+        << extra;
+    EXPECT_EQ(error_code_of(server.handle_line(run_request(extra))),
+              "bad_request")
+        << extra;
+  }
+  EXPECT_EQ(sessions_active(), 1.0);
+  ok_result(server.handle_line(step_request(sid)));
+  // The domain's bounds are served.
+  ok_result(server.handle_line(
+      open_request(R"(,"ambient_k":233.15,"soe0":0,"soc0":100)")));
+  EXPECT_EQ(sessions_active(), 2.0);
+}
+
+TEST(ServeSession, ARefusedPreconditionNamesItsSourceRelativeToTheTree) {
+  // The message a client receives names src/...:line, never the absolute
+  // path of the checkout the daemon was built from.
+  Server server(session_test_options());
+  const Json doc = Json::parse(server.handle_line(
+      R"({"schema":"otem.serve.v1","method":"run","overrides":)"
+      R"({"method":"parallel","repeats":"1e18"}})"));
+  EXPECT_EQ(doc.find("error")->as_string(), "bad_request");
+  const std::string message = doc.find("message")->as_string();
+  EXPECT_NE(message.find(" at src/"), std::string::npos) << message;
+}
+
 TEST(ServeSession, UnknownAndMissingSessionIdsAreStructuredErrors) {
   Server server(session_test_options());
   EXPECT_EQ(error_code_of(server.handle_line(step_request("s999"))),

@@ -26,6 +26,7 @@
 #include <atomic>
 #include <cmath>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -34,7 +35,7 @@
 #include "common/error.h"
 #include "common/json.h"
 #include "common/rng.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 #include "obs/metrics.h"
 #include "obs/sketch.h"
 #include "obs/trace.h"
@@ -429,6 +430,64 @@ TEST(Trace, ChromeJsonIsWellFormedV1) {
   // bench/check_trace.py does to the written file).
   const Json reparsed = Json::parse(doc.dump(0));
   EXPECT_EQ(reparsed.find("schema")->as_string(), "otem.trace.v1");
+}
+
+TEST(Trace, ChromeExportIdsAreUniqueAndParentsEncloseTheirChildren) {
+  // Nested spans on two threads, read back from the written bytes: no
+  // two events may share an id, and every non-zero parent must name an
+  // exported span on the child's tid whose interval encloses the child.
+  const TraceGuard guard(true);
+  constexpr int kOuter = 40;
+  const auto nest = [] {
+    for (int i = 0; i < kOuter; ++i) {
+      const obs::TraceSpan outer("t.export_outer");
+      for (int j = 0; j < 3; ++j) {
+        const obs::TraceSpan mid("t.export_mid");
+        const obs::TraceSpan inner("t.export_inner");
+      }
+    }
+  };
+  std::thread other(nest);
+  nest();
+  other.join();
+
+  const Json doc = Json::parse(obs::TraceCollector().to_chrome_json().dump(0));
+  const Json& events = *doc.find("traceEvents");
+  struct Event {
+    double tid, ts, dur;
+  };
+  std::map<double, Event> by_id;
+  for (size_t i = 0; i < events.size(); ++i) {
+    const Json& e = events.at(i);
+    const double id = e.find("args")->find("id")->as_number();
+    EXPECT_TRUE(by_id
+                    .emplace(id, Event{e.find("tid")->as_number(),
+                                       e.find("ts")->as_number(),
+                                       e.find("dur")->as_number()})
+                    .second)
+        << "two events share id " << id;
+  }
+  ASSERT_EQ(events.size(), 2u * kOuter * 7);
+
+  size_t children = 0;
+  for (size_t i = 0; i < events.size(); ++i) {
+    const Json& e = events.at(i);
+    const double parent = e.find("args")->find("parent")->as_number();
+    if (parent == 0.0) continue;
+    ++children;
+    const auto it = by_id.find(parent);
+    ASSERT_NE(it, by_id.end()) << "parent " << parent << " is not exported";
+    const Event& p = it->second;
+    const double tid = e.find("tid")->as_number();
+    const double ts = e.find("ts")->as_number();
+    const double end = ts + e.find("dur")->as_number();
+    EXPECT_EQ(p.tid, tid);
+    // Timestamps are written to 12 significant digits.
+    const double slack = 1e-11 * std::abs(ts);
+    EXPECT_LE(p.ts, ts + slack);
+    EXPECT_GE(p.ts + p.dur + slack, end);
+  }
+  EXPECT_EQ(children, 2u * kOuter * 6);
 }
 
 TEST(Trace, WriteChromeTraceRoundTrips) {
