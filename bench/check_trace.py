@@ -9,6 +9,9 @@ chrome://tracing / ui.perfetto.dev expect —
     traceEvents array;
   - every event is a complete-duration ("ph":"X") event carrying
     name/cat/ts/dur/pid/tid, with ts/dur finite and dur >= 0;
+  - ts counts microseconds from the earliest exported span, so the
+    smallest ts is exactly 0 (absolute steady-clock microseconds lose
+    sub-microsecond placement in the 12-digit number writer);
   - every event carries args.id/args.parent/args.depth, and no two
     events share an args.id (whether a child lies inside its parent's
     interval is not checked: overwritten flight-recorder rings may
@@ -67,6 +70,11 @@ def main():
                         f"args.id {span_id}")
         first_with_id[span_id] = i
         names[e["name"]] = names.get(e["name"], 0) + 1
+
+    earliest = min(e["ts"] for e in events)
+    if earliest != 0:
+        return fail(f"earliest ts is {earliest}, expected 0 (ts must be "
+                    f"relative to the earliest exported span)")
 
     missing = [n for n in args.require if n not in names]
     if missing:

@@ -65,7 +65,7 @@ void BM_UltracapStep(benchmark::State& state) {
 BENCHMARK(BM_UltracapStep);
 
 void BM_ThermalStep(benchmark::State& state) {
-  const thermal::CoolingSystem sys = spec().make_cooling();
+  thermal::CoolingSystem sys = spec().make_cooling();
   thermal::ThermalState s{305.0, 300.0};
   for (auto _ : state) {
     s = sys.step(s, 2000.0, 295.0, 1.0);

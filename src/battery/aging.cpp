@@ -1,10 +1,8 @@
 #include "battery/aging.h"
 
-#include <cmath>
 #include <limits>
 
 #include "battery/cell_math.h"
-#include "common/constants.h"
 #include "common/error.h"
 
 namespace otem::battery {
@@ -19,12 +17,7 @@ double CapacityFadeModel::loss_rate_percent_per_s(
   if (cell_discharge_current_a <= 0.0) return 0.0;
   const double c_rate = cell_discharge_current_a / cell_.capacity_ah;
   const double arrhenius = cellmath::fade_arrhenius(cell_, temp_k);
-  // pow(x, 1) == x exactly (IEEE 754), so the l3 == 1 shortcut is
-  // bit-identical and skips the libm call at the default fade exponent
-  // (parallel_substep mirrors it).
-  const double powed =
-      cell_.l3 == 1.0 ? c_rate : std::pow(c_rate, cell_.l3);
-  return cell_.l1 * arrhenius * powed;
+  return cell_.l1 * arrhenius * cellmath::fade_power(cell_, c_rate);
 }
 
 double CapacityFadeModel::loss_rate_from_pack_current(double pack_current_a,

@@ -36,33 +36,34 @@ double PackModel::internal_resistance(double soc_percent,
          params_.parallel;
 }
 
-double PackModel::open_circuit_voltage_dsoc(double soc_percent) const {
-  const CellParams& c = params_.cell;
-  const double s = std::clamp(soc_percent, 0.0, 100.0) / 100.0;
-  const double s2 = s * s;
-  const double dcell_ds = c.v1 * c.v2 * fastmath::exp(c.v2 * s) +
-                          4.0 * c.v3 * s2 * s + 3.0 * c.v4 * s2 +
-                          2.0 * c.v5 * s + c.v6;
-  // Chain rule: s = soc/100.
-  return params_.series * dcell_ds / 100.0;
+PackPoint PackModel::evaluate(double soc_percent, double temp_k) const {
+  return {open_circuit_voltage(soc_percent),
+          internal_resistance(soc_percent, temp_k), temp_k};
 }
 
-double PackModel::internal_resistance_dsoc(double soc_percent,
-                                           double temp_k) const {
+PackPartials PackModel::partials(double soc_percent, double temp_k) const {
+  OTEM_REQUIRE(temp_k > 100.0, "battery temperature must be in kelvin");
   const CellParams& c = params_.cell;
-  const double s = std::clamp(soc_percent, 0.0, 100.0) / 100.0;
+  const double s = cellmath::soc_fraction(soc_percent);
+  const double ev = fastmath::exp(c.v2 * s);
+  const double er = fastmath::exp(c.r2 * s);
   const double arrhenius = cellmath::r_arrhenius(c, temp_k);
-  const double dr25_ds = c.r1 * c.r2 * fastmath::exp(c.r2 * s);
-  return dr25_ds * arrhenius / 100.0 * params_.series / params_.parallel;
-}
-
-double PackModel::internal_resistance_dtemp(double soc_percent,
-                                            double temp_k) const {
+  PackPartials p;
+  p.voc = params_.series * cellmath::voc_fit(c, s, ev);
+  const double s2 = s * s;
+  const double dcell_ds = c.v1 * c.v2 * ev + 4.0 * c.v3 * s2 * s +
+                          3.0 * c.v4 * s2 + 2.0 * c.v5 * s + c.v6;
+  // Chain rule: s = soc/100.
+  p.dvoc_dsoc = params_.series * dcell_ds / 100.0;
+  p.r = cellmath::r25_fit(c, er) * arrhenius * params_.series /
+        params_.parallel;
+  const double dr25_ds = c.r1 * c.r2 * er;
+  p.dr_dsoc =
+      dr25_ds * arrhenius / 100.0 * params_.series / params_.parallel;
   // d/dT exp(k (1/T - 1/Tref)) = -k/T^2 * exp(...)
-  const double r = internal_resistance(soc_percent, temp_k);
-  const double k =
-      params_.cell.resistance_activation_j_mol / constants::kGasConstant;
-  return -r * k / (temp_k * temp_k);
+  const double k = c.resistance_activation_j_mol / constants::kGasConstant;
+  p.dr_dtemp = -p.r * k / (temp_k * temp_k);
+  return p;
 }
 
 double PackModel::nominal_energy_j() const {
@@ -72,22 +73,20 @@ double PackModel::nominal_energy_j() const {
 
 double PackModel::max_discharge_power(double soc_percent,
                                       double temp_k) const {
-  const double voc = open_circuit_voltage(soc_percent);
-  const double r = internal_resistance(soc_percent, temp_k);
-  return voc * voc / (4.0 * r);
+  const PackPoint at = evaluate(soc_percent, temp_k);
+  return at.voc * at.voc / (4.0 * at.r);
 }
 
 double PackModel::terminal_voltage(double soc_percent, double temp_k,
                                    double i) const {
-  return open_circuit_voltage(soc_percent) -
-         internal_resistance(soc_percent, temp_k) * i;
+  const PackPoint at = evaluate(soc_percent, temp_k);
+  return at.voc - at.r * i;
 }
 
-PowerSolve PackModel::current_for_power(double soc_percent, double temp_k,
-                                        double power_w) const {
+PowerSolve PackModel::current_for_power(const PackPoint& at, double power_w) {
   PowerSolve out;
-  const double voc = open_circuit_voltage(soc_percent);
-  const double r = internal_resistance(soc_percent, temp_k);
+  const double voc = at.voc;
+  const double r = at.r;
   // Terminal power P = (Voc - R i) i  =>  R i^2 - Voc i + P = 0.
   // Discharge (P > 0): the physical branch is the SMALLER positive root
   // (high-voltage, low-current operating point). Charge (P < 0): the
@@ -104,16 +103,10 @@ PowerSolve PackModel::current_for_power(double soc_percent, double temp_k,
   return out;
 }
 
-double PackModel::heat_generation(double soc_percent, double temp_k,
-                                  double i) const {
-  const double r = internal_resistance(soc_percent, temp_k);
-  const double joule = i * i * r;  // I (Voc - V) = I^2 R
-  // Entropic term, Eq. (4): I * T * dVoc/dT summed over the pack. The
-  // per-cell coefficient scales by the series count (pack Voc = series
-  // * cell Voc); cell current is i / parallel.
-  const double entropic =
-      i * temp_k * params_.cell.dvoc_dtemp * params_.series;
-  return joule + entropic;
+double PackModel::heat_generation(const PackPoint& at, double i) const {
+  // I (Voc - V) = I^2 R; the per-cell entropic coefficient scales by the
+  // series count (pack Voc = series * cell Voc).
+  return cellmath::heat(params_.cell, params_.series, at.r, i, at.temp_k);
 }
 
 double PackModel::step_soc(double soc_percent, double i, double dt) const {
@@ -129,10 +122,10 @@ double PackModel::soc_rate(double i) const {
 PackModel::EnergySplit PackModel::energy_for_step(double soc_percent,
                                                   double temp_k, double i,
                                                   double dt) const {
+  const PackPoint at = evaluate(soc_percent, temp_k);
   EnergySplit split;
-  const double v = terminal_voltage(soc_percent, temp_k, i);
-  split.terminal_j = v * i * dt;
-  split.loss_j = i * i * internal_resistance(soc_percent, temp_k) * dt;
+  split.terminal_j = (at.voc - at.r * i) * i * dt;
+  split.loss_j = i * i * at.r * dt;
   return split;
 }
 

@@ -14,6 +14,26 @@
 
 namespace otem::battery {
 
+/// Pack open-circuit voltage and internal resistance evaluated once at
+/// one (SoC, T). A plant step evaluates its point once and passes it to
+/// the current solve and the heat formula, which would otherwise each
+/// re-evaluate the same exp-bound fits.
+struct PackPoint {
+  double voc = 0.0;     ///< pack open-circuit voltage [V]
+  double r = 0.0;       ///< pack internal resistance [ohm]
+  double temp_k = 0.0;  ///< pack temperature [K] (the entropic heat term)
+};
+
+/// PackPoint's values with their partial derivatives (for the MPC
+/// adjoint and linearization), every exp evaluated once.
+struct PackPartials {
+  double voc = 0.0;        ///< pack open-circuit voltage [V]
+  double dvoc_dsoc = 0.0;  ///< d(pack Voc)/d(SoC percent) [V/%]
+  double r = 0.0;          ///< pack internal resistance [ohm]
+  double dr_dsoc = 0.0;    ///< d(pack R)/d(SoC percent) [ohm/%]
+  double dr_dtemp = 0.0;   ///< d(pack R)/d(T) [ohm/K]
+};
+
 /// Result of resolving a terminal power request into a pack current.
 struct PowerSolve {
   double current_a = 0.0;        ///< pack current [A], discharge positive
@@ -42,15 +62,13 @@ class PackModel {
   /// Pack internal resistance [ohm] (series/parallel aggregation).
   double internal_resistance(double soc_percent, double temp_k) const;
 
+  /// Pack Voc and R at (soc, T): three exps, once.
+  PackPoint evaluate(double soc_percent, double temp_k) const;
+
   // --- analytic partial derivatives (for the MPC adjoint) -----------------
-  /// d(pack Voc)/d(SoC percent) [V/%].
-  double open_circuit_voltage_dsoc(double soc_percent) const;
-
-  /// d(pack R)/d(SoC percent) [ohm/%].
-  double internal_resistance_dsoc(double soc_percent, double temp_k) const;
-
-  /// d(pack R)/d(T) [ohm/K].
-  double internal_resistance_dtemp(double soc_percent, double temp_k) const;
+  /// Pack Voc and R with their SoC and temperature partials at (soc, T),
+  /// each of the three exps evaluated once.
+  PackPartials partials(double soc_percent, double temp_k) const;
 
   /// Pack capacity [Ah].
   double capacity_ah() const { return params_.capacity_ah(); }
@@ -65,17 +83,23 @@ class PackModel {
   /// Terminal voltage under current i [V]: V = Voc - R i.
   double terminal_voltage(double soc_percent, double temp_k, double i) const;
 
-  /// Solve pack current for a requested terminal power [W]
-  /// (P = (Voc - R i) i, smaller root for discharge). For charging
-  /// (P < 0) solves the matching negative-current branch. When the
-  /// request exceeds max deliverable power the result is clamped to the
-  /// maximum-power current and `feasible` is false.
+  /// Solve pack current for a requested terminal power [W] at an
+  /// evaluated point (P = (Voc - R i) i, smaller root for discharge).
+  /// For charging (P < 0) solves the matching negative-current branch.
+  /// When the request exceeds max deliverable power the result is
+  /// clamped to the maximum-power current and `feasible` is false.
+  static PowerSolve current_for_power(const PackPoint& at, double power_w);
   PowerSolve current_for_power(double soc_percent, double temp_k,
-                               double power_w) const;
+                               double power_w) const {
+    return current_for_power(evaluate(soc_percent, temp_k), power_w);
+  }
 
-  /// Total pack heat generation [W], Eq. (4): Joule loss plus entropic
-  /// term, summed over cells.
-  double heat_generation(double soc_percent, double temp_k, double i) const;
+  /// Total pack heat generation [W] at an evaluated point, Eq. (4):
+  /// Joule loss plus entropic term, summed over cells.
+  double heat_generation(const PackPoint& at, double i) const;
+  double heat_generation(double soc_percent, double temp_k, double i) const {
+    return heat_generation(evaluate(soc_percent, temp_k), i);
+  }
 
   /// New SoC [percent] after drawing pack current i for dt seconds,
   /// Eq. (1); clamps to [0, 100].

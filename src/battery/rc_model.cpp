@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "battery/cell_math.h"
 #include "common/error.h"
 
 namespace otem::battery {
@@ -47,18 +48,9 @@ PowerSolve TransientPackModel::current_for_power(double soc_percent,
                                                  double power_w) const {
   // Terminal power P = (Voc - v1 - R0 i) i: the base solver's quadratic
   // with an effective open-circuit voltage Voc' = Voc - v1.
-  const double voc = base_.open_circuit_voltage(soc_percent) - v1;
-  const double r = base_.internal_resistance(soc_percent, temp_k);
-  PowerSolve out;
-  const double disc = voc * voc - 4.0 * r * power_w;
-  if (disc < 0.0) {
-    out.current_a = voc / (2.0 * r);
-    out.feasible = false;
-  } else {
-    out.current_a = (voc - std::sqrt(disc)) / (2.0 * r);
-  }
-  out.terminal_voltage = voc - r * out.current_a;
-  return out;
+  PackPoint at = base_.evaluate(soc_percent, temp_k);
+  at.voc -= v1;
+  return PackModel::current_for_power(at, power_w);
 }
 
 double TransientPackModel::heat_generation(double soc_percent, double temp_k,
@@ -66,8 +58,8 @@ double TransientPackModel::heat_generation(double soc_percent, double temp_k,
   const double r0 = base_.internal_resistance(soc_percent, temp_k);
   const double ohmic = i * i * r0;
   const double polarisation = v1 * v1 / r1_pack();
-  const double entropic = i * temp_k * base_.params().cell.dvoc_dtemp *
-                          base_.params().series;
+  const double entropic = cellmath::entropic_heat(
+      base_.params().cell, base_.params().series, i, temp_k);
   return ohmic + polarisation + entropic;
 }
 

@@ -1,11 +1,10 @@
 #include "campaign/grid.h"
 
-#include <cstdio>
-
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "core/plant_state.h"
+#include "sim/scenario.h"
 #include "vehicle/drive_cycle.h"
 
 namespace otem::campaign {
@@ -27,15 +26,6 @@ std::uint64_t splitmix64(std::uint64_t x) {
 }
 
 namespace {
-
-/// Full-precision double rendering: 17 significant digits round-trip
-/// exactly through strtod, so canonical keys and serve-fabric overrides
-/// reproduce the same bits a local worker computes with.
-std::string fmt17(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 /// Axis parser: "a,b,c" is an explicit list; "lo:hi:n" is an inclusive
 /// linspace with n points (n >= 1; n == 1 yields lo).
@@ -118,7 +108,11 @@ void Grid::validate() const {
   OTEM_REQUIRE(!uc_scales.empty(), "campaign grid: empty uc_scales axis");
   for (double s : uc_scales)
     OTEM_REQUIRE(s > 0.0, "campaign grid: uc_scale must be positive");
-  OTEM_REQUIRE(min_duration_s > 0.0 && max_duration_s >= min_duration_s,
+  sim::require_synthetic_duration_s("campaign grid: min_duration_s",
+                                    min_duration_s);
+  sim::require_synthetic_duration_s("campaign grid: max_duration_s",
+                                    max_duration_s);
+  OTEM_REQUIRE(max_duration_s >= min_duration_s,
                "campaign grid: duration range is inverted");
   OTEM_REQUIRE(ambient_min_k <= ambient_max_k,
                "campaign grid: ambient draw range is inverted");
@@ -180,32 +174,57 @@ ScenarioSpec Grid::at(size_t index) const {
 }
 
 std::string ScenarioSpec::canonical_key() const {
-  std::string key = "method=" + methodology + "|route=" + route;
+  // One buffer, every number written in place by append_g17: 17
+  // digits round-trip exactly through strtod, so the key names the
+  // very bits a worker runs with.
+  std::string key;
+  key.reserve(192 + methodology.size() + route.size());
+  const auto number = [&key](std::string_view field, double v) {
+    key += field;
+    append_g17(key, v);
+  };
+  key += "method=";
+  key += methodology;
+  key += "|route=";
+  key += route;
   if (synthetic()) {
-    key += "|route_seed=" + strings::hex_u64(route_seed);
-    key += "|duration_s=" + fmt17(duration_s);
-    key += "|max_speed_mps=" + fmt17(max_speed_mps);
+    key += "|route_seed=";
+    key += strings::hex_u64(route_seed);
+    number("|duration_s=", duration_s);
+    number("|max_speed_mps=", max_speed_mps);
   }
-  key += "|ambient_k=" + fmt17(ambient_k);
-  key += "|uc_scale=" + fmt17(uc_scale);
-  key += "|soe0=" + fmt17(soe0);
+  number("|ambient_k=", ambient_k);
+  number("|uc_scale=", uc_scale);
+  number("|soe0=", soe0);
   return key;
 }
 
 std::string Grid::fingerprint() const {
   std::string desc = "otem.campaign.grid|seed=" + strings::hex_u64(seed);
+  const auto range = [&desc](std::string_view field, double lo, double hi) {
+    desc += field;
+    append_g17(desc, lo);
+    desc += ':';
+    append_g17(desc, hi);
+  };
+  const auto list = [&desc](std::string_view field,
+                            const std::vector<double>& values) {
+    desc += field;
+    for (double v : values) {
+      append_g17(desc, v);
+      desc += ',';
+    }
+  };
   desc += "|methods=" + strings::join(methodologies, ",");
   desc += "|cycles=" + strings::join(cycles, ",");
   desc += "|synthetic=" + std::to_string(synthetic_routes);
-  desc += "|duration=" + fmt17(min_duration_s) + ":" + fmt17(max_duration_s);
-  desc += "|max_speed=" + fmt17(max_speed_mps);
-  desc += "|ambients=";
-  for (double a : ambients_k) desc += fmt17(a) + ",";
-  desc += "|ambient_range=" + fmt17(ambient_min_k) + ":" +
-          fmt17(ambient_max_k);
-  desc += "|uc=";
-  for (double s : uc_scales) desc += fmt17(s) + ",";
-  desc += "|soe0=" + fmt17(soe0_min) + ":" + fmt17(soe0_max);
+  range("|duration=", min_duration_s, max_duration_s);
+  desc += "|max_speed=";
+  append_g17(desc, max_speed_mps);
+  list("|ambients=", ambients_k);
+  range("|ambient_range=", ambient_min_k, ambient_max_k);
+  list("|uc=", uc_scales);
+  range("|soe0=", soe0_min, soe0_max);
   return strings::hex_u64(fnv1a64(desc));
 }
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -22,12 +21,12 @@ namespace otem::campaign {
 
 namespace {
 
-/// %.17g — exact strtod round-trip for doubles forwarded as config
-/// strings to serve daemons.
+/// 17 significant digits (append_g17): an exact strtod round-trip for
+/// doubles forwarded as config strings to serve daemons.
 std::string fmt17(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  std::string text;
+  append_g17(text, v);
+  return text;
 }
 
 /// The innermost grid axis — the group a scenario commits under,

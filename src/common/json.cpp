@@ -86,6 +86,14 @@ void append_json_number(std::string& out, double v) {
   out.append(buf, r.ptr);
 }
 
+void append_g17(std::string& out, double v) {
+  // The longest "%.17g" spelling, "-1.2345678901234567e-308", is 24 bytes.
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+  out.append(buf, r.ptr);
+}
+
 void append_json_string(std::string& out, std::string_view s) {
   out += '"';
   for (char c : s) {

@@ -119,6 +119,14 @@ class Json {
 /// writes null (JSON has no NaN or infinity).
 void append_json_number(std::string& out, double v);
 
+/// Append `v` with 17 significant digits: the bytes of printf's
+/// "%.17g" in the "C" locale, which std::to_chars(first, last, v,
+/// std::chars_format::general, 17) is defined to produce. 17 digits
+/// round-trip every double through strtod, and an integral value below
+/// 1e17 prints as that integer (no point, no exponent), so config
+/// strings and content-addressed keys built from it carry exact bits.
+void append_g17(std::string& out, double v);
+
 /// Append `s` as a quoted JSON string: '"' and '\\' are escaped, the
 /// named controls use their short forms (\b \t \n \f \r) and every
 /// other control character (U+0000–U+001F) becomes \u00xx; all other

@@ -1,9 +1,9 @@
 #include "core/cooling_methodology.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/methodology_registry.h"
+#include "hees/dual_arch.h"
 
 namespace otem::core {
 
@@ -43,36 +43,32 @@ StepRecord CoolingMethodology::step(PlantState& state, double p_e_w,
   const double p_pump = engaged ? pump_w_ : 0.0;
 
   // The cooler and pump draw from the same battery as the traction load.
-  const double tb = state.t_battery_k;
+  // No ultracapacitor in this architecture; SoE untouched.
   const double p_total = p_e_w + p_cool + p_pump;
-  const battery::PowerSolve solve =
-      battery_.current_for_power(state.soc_percent, tb, p_total);
-  const double i_b = solve.current_a;
-  const double voc = battery_.open_circuit_voltage(state.soc_percent);
-  const double rb = battery_.internal_resistance(state.soc_percent, tb);
-  const double q_bat = battery_.heat_generation(state.soc_percent, tb, i_b);
+  const hees::ArchStep bat =
+      hees::battery_only_step(battery_, fade_, state.soc_percent,
+                              state.soe_percent, state.t_battery_k, p_total,
+                              dt);
 
   const double t_inlet =
       cooling_.inlet_for_power(state.t_coolant_k, ambient_k_, p_cool);
   const thermal::ThermalState th = cooling_.step(
-      {state.t_battery_k, state.t_coolant_k}, q_bat, t_inlet, dt);
+      {state.t_battery_k, state.t_coolant_k}, bat.q_bat_w, t_inlet, dt);
 
   state.t_battery_k = th.t_battery_k;
   state.t_coolant_k = th.t_coolant_k;
-  state.soc_percent = battery_.step_soc(state.soc_percent, i_b, dt);
-  // No ultracapacitor in this architecture; SoE untouched.
+  state.soc_percent = bat.soc_next;
 
   rec.p_cooler_w = p_cool;
   rec.p_pump_w = p_pump;
   rec.t_inlet_k = t_inlet;
-  rec.i_bat_a = i_b;
-  rec.q_bat_w = q_bat;
-  rec.e_bat_j = voc * i_b * dt;
+  rec.i_bat_a = bat.i_bat_a;
+  rec.q_bat_w = bat.q_bat_w;
+  rec.e_bat_j = bat.e_bat_j;
   rec.e_cooling_j = (p_cool + p_pump) * dt;
-  rec.e_loss_j = i_b * i_b * rb * dt;
-  rec.qloss_percent = fade_.loss_for_step(
-      std::max(i_b, 0.0) / battery_.params().parallel, tb, dt);
-  rec.feasible = solve.feasible;
+  rec.e_loss_j = bat.e_loss_j;
+  rec.qloss_percent = bat.qloss_percent;
+  rec.feasible = bat.feasible;
   rec.state_after = state;
   return rec;
 }

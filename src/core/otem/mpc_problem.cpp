@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "battery/cell_math.h"
 #include "common/constants.h"
 #include "common/error.h"
 
@@ -171,8 +172,10 @@ double MpcProblem::evaluate(const optim::Vector& z, optim::Vector& c_out) {
     const double p_bb = load - s.u_cap;
 
     // --- battery branch ---------------------------------------------------
-    s.v_b = battery_.open_circuit_voltage(s.soc);
-    s.dvb_dsoc = battery_.open_circuit_voltage_dsoc(s.soc);
+    // Voc, R and their partials at (SoC, T_b), each exp evaluated once.
+    const battery::PackPartials pack = battery_.partials(s.soc, s.tb);
+    s.v_b = pack.voc;
+    s.dvb_dsoc = pack.dvoc_dsoc;
     const double eta_b = bat_conv_.efficiency(s.v_b);
     s.deta_b_dv = bat_conv_.efficiency_dv(s.v_b);
     if (p_bb >= 0.0) {
@@ -185,9 +188,9 @@ double MpcProblem::evaluate(const optim::Vector& z, optim::Vector& c_out) {
       s.dpbs_deta = p_bb;
     }
 
-    s.r = battery_.internal_resistance(s.soc, s.tb);
-    s.dr_dsoc = battery_.internal_resistance_dsoc(s.soc, s.tb);
-    s.dr_dtb = battery_.internal_resistance_dtemp(s.soc, s.tb);
+    s.r = pack.r;
+    s.dr_dsoc = pack.dr_dsoc;
+    s.dr_dtb = pack.dr_dtemp;
 
     const double disc = s.v_b * s.v_b - 4.0 * s.r * s.p_bs;
     const double disc_floor = kDiscFloorFrac * s.v_b * s.v_b;
@@ -215,7 +218,7 @@ double MpcProblem::evaluate(const optim::Vector& z, optim::Vector& c_out) {
     const double c_rate = i_pos / cell_cap;
     const double arr =
         std::exp(-cell.l2 / (constants::kGasConstant * s.tb));
-    s.qloss = cell.l1 * arr * std::pow(c_rate, cell.l3) * dt;
+    s.qloss = cell.l1 * arr * battery::cellmath::fade_power(cell, c_rate) * dt;
     s.dqloss_dtb =
         s.qloss * cell.l2 / (constants::kGasConstant * s.tb * s.tb);
     s.dqloss_di = s.qloss * cell.l3 * di_pos / i_pos;

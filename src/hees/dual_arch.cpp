@@ -7,6 +7,28 @@
 
 namespace otem::hees {
 
+ArchStep battery_only_step(const battery::PackModel& battery,
+                           const battery::CapacityFadeModel& fade,
+                           double soc_percent, double soe_percent,
+                           double t_battery_k, double p_storage_w,
+                           double dt) {
+  const battery::PackPoint at = battery.evaluate(soc_percent, t_battery_k);
+  const battery::PowerSolve solve =
+      battery::PackModel::current_for_power(at, p_storage_w);
+  const double i_b = solve.current_a;
+  ArchStep out;
+  out.feasible = solve.feasible;
+  out.i_bat_a = i_b;
+  out.soc_next = battery.step_soc(soc_percent, i_b, dt);
+  out.soe_next = soe_percent;
+  out.q_bat_w = battery.heat_generation(at, i_b);
+  out.e_bat_j = at.voc * i_b * dt;
+  out.e_loss_j = i_b * i_b * at.r * dt;
+  out.qloss_percent = fade.loss_for_step(
+      std::max(i_b, 0.0) / battery.params().parallel, t_battery_k, dt);
+  return out;
+}
+
 const char* to_string(DualMode mode) {
   switch (mode) {
     case DualMode::kBatteryOnly:
@@ -32,8 +54,8 @@ ArchStep DualArchitecture::step(double soc_percent, double soe_percent,
   OTEM_REQUIRE(dt > 0.0, "step duration must be positive");
   switch (mode) {
     case DualMode::kBatteryOnly:
-      return battery_only_step(soc_percent, soe_percent, t_battery_k,
-                               p_load_w, dt);
+      return battery_only_step(parallel_.battery(), fade_, soc_percent,
+                               soe_percent, t_battery_k, p_load_w, dt);
     case DualMode::kUltracapOnly:
       return ultracap_only_step(soc_percent, soe_percent, t_battery_k,
                                 p_load_w, dt);
@@ -58,34 +80,13 @@ ArchStep DualArchitecture::recharge_step(double soc, double soe, double tb,
   // Current-limited charge into the bank, capped by its headroom.
   const double p_charge =
       std::min(recharge_power_w_, cap.max_charge_power(soe, dt));
-  ArchStep out = battery_only_step(soc, soe, tb, p_load + p_charge, dt);
+  ArchStep out = battery_only_step(parallel_.battery(), fade_, soc, soe, tb,
+                                   p_load + p_charge, dt);
   out.soe_next = cap.step_soe(soe, -p_charge, dt);
   // Report the charge current where the bank voltage is defined; a
   // fully drained bank takes a (modelled) constant-power precharge.
   out.i_cap_a = soe > 0.01 ? cap.current_for_power(soe, -p_charge) : 0.0;
   out.e_cap_j = -p_charge * dt;
-  return out;
-}
-
-ArchStep DualArchitecture::battery_only_step(double soc, double soe,
-                                             double tb, double p_load,
-                                             double dt) const {
-  const battery::PackModel& bat = parallel_.battery();
-  ArchStep out;
-  const battery::PowerSolve solve = bat.current_for_power(soc, tb, p_load);
-  out.feasible = solve.feasible;
-  const double i_b = solve.current_a;
-  const double vb = bat.open_circuit_voltage(soc);
-  const double rb = bat.internal_resistance(soc, tb);
-
-  out.i_bat_a = i_b;
-  out.soc_next = bat.step_soc(soc, i_b, dt);
-  out.soe_next = soe;  // UC floats
-  out.q_bat_w = bat.heat_generation(soc, tb, i_b);
-  out.e_bat_j = vb * i_b * dt;
-  out.e_loss_j = i_b * i_b * rb * dt;
-  out.qloss_percent = fade_.loss_for_step(
-      std::max(i_b, 0.0) / bat.params().parallel, tb, dt);
   return out;
 }
 
@@ -145,8 +146,8 @@ ArchStep DualArchitecture::ultracap_only_step(double soc, double soe,
   // closed in a real system; modelled as direct battery supply).
   const double shortfall = p_load > 0.0 ? p_load - p_bus : 0.0;
   if (shortfall > 1e-9) {
-    const ArchStep bat_step =
-        battery_only_step(soc, soe, tb, shortfall, dt);
+    const ArchStep bat_step = battery_only_step(parallel_.battery(), fade_,
+                                                soc, soe, tb, shortfall, dt);
     out.i_bat_a = bat_step.i_bat_a;
     out.soc_next = bat_step.soc_next;
     out.q_bat_w = bat_step.q_bat_w;

@@ -32,6 +32,16 @@ enum class DualMode { kBatteryOnly, kUltracapOnly, kParallel, kRecharge };
 
 const char* to_string(DualMode mode);
 
+/// The battery alone serves `p_storage_w` [W] at its terminals over dt
+/// while the bank floats at `soe_percent`: kBatteryOnly here, and the
+/// whole plant of the battery-only active-cooling baseline. Pack Voc
+/// and R are evaluated once at (soc, T) and feed the current solve,
+/// the heat (Eq. 4) and the energy bookkeeping.
+ArchStep battery_only_step(const battery::PackModel& battery,
+                           const battery::CapacityFadeModel& fade,
+                           double soc_percent, double soe_percent,
+                           double t_battery_k, double p_storage_w, double dt);
+
 class DualArchitecture {
  public:
   DualArchitecture(battery::PackModel battery, ultracap::BankModel ultracap);
@@ -57,8 +67,6 @@ class DualArchitecture {
                 double p_load_w, DualMode mode, double dt) const;
 
  private:
-  ArchStep battery_only_step(double soc, double soe, double tb, double p_load,
-                             double dt) const;
   ArchStep ultracap_only_step(double soc, double soe, double tb,
                               double p_load, double dt) const;
   ArchStep recharge_step(double soc, double soe, double tb, double p_load,

@@ -95,9 +95,11 @@ ArchStep HybridArchitecture::step(double soc_percent, double soe_percent,
   const double p_bat_bus = p_bat_bus_w + (p_cap_bus_w - p_cap_bus);
 
   // --- battery branch ------------------------------------------------------
-  const double v_bat_oc = battery_.open_circuit_voltage(soc_percent);
+  // Pack Voc and R once; the converter, the current solve, the heat and
+  // the bookkeeping below all read them.
+  const battery::PackPoint at = battery_.evaluate(soc_percent, t_battery_k);
   const double p_bat_storage_requested =
-      bat_conv_.storage_power_for_bus(p_bat_bus, v_bat_oc);
+      bat_conv_.storage_power_for_bus(p_bat_bus, at.voc);
   double p_bat_storage = p_bat_storage_requested;
   if (std::abs(p_bat_storage) > params_.max_battery_power_w) {
     // An optimiser legitimately rides the C6 boundary; only flag a
@@ -108,7 +110,7 @@ ArchStep HybridArchitecture::step(double soc_percent, double soe_percent,
   }
 
   const battery::PowerSolve solve =
-      battery_.current_for_power(soc_percent, t_battery_k, p_bat_storage);
+      battery::PackModel::current_for_power(at, p_bat_storage);
   out.feasible = out.feasible && solve.feasible;
   const double i_b = solve.current_a;
 
@@ -118,16 +120,15 @@ ArchStep HybridArchitecture::step(double soc_percent, double soe_percent,
     const double delivered_terminal = solve.terminal_voltage * i_b;
     const double delivered_bus =
         bat_conv_.bus_power_for_storage(std::max(delivered_terminal, 0.0),
-                                        v_bat_oc);
+                                        at.voc);
     out.unmet_bus_w = std::max(0.0, p_bat_bus - delivered_bus);
   }
-  const double rb = battery_.internal_resistance(soc_percent, t_battery_k);
 
   out.i_bat_a = i_b;
   out.soc_next = battery_.step_soc(soc_percent, i_b, dt);
-  out.q_bat_w = battery_.heat_generation(soc_percent, t_battery_k, i_b);
-  out.e_bat_j = v_bat_oc * i_b * dt;
-  out.e_loss_j += i_b * i_b * rb * dt;
+  out.q_bat_w = battery_.heat_generation(at, i_b);
+  out.e_bat_j = at.voc * i_b * dt;
+  out.e_loss_j += i_b * i_b * at.r * dt;
   out.e_loss_j += (p_bat_storage - p_bat_bus) * dt;
   out.qloss_percent = fade_.loss_for_step(
       std::max(i_b, 0.0) / battery_.params().parallel, t_battery_k, dt);

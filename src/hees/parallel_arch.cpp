@@ -113,16 +113,13 @@ inline SubstepOut parallel_substep(const SubstepCtx& x, double arr_r,
   o.e_cap_h = p_cap * h;
   o.e_loss_h = (i_b * i_b * rb + i_c * i_c * r_c) * h;
   // Heat at the updated SoC (Eq. 4): Joule term plus entropic term.
-  const double joule = i_b * i_b * o.rb_next;
-  const double entropic = i_b * t_battery_k * c.dvoc_dtemp * series;
-  o.q_heat_h = (joule + entropic) * h;
+  o.q_heat_h =
+      battery::cellmath::heat(c, series, o.rb_next, i_b, t_battery_k) * h;
   // Capacity fade (Eq. 5) on the discharging half-cycles. Mirrors
-  // CapacityFadeModel::loss_rate_percent_per_s including the
-  // pow(x, 1) == x shortcut (exact per IEEE 754) that skips the libm
-  // call at the default fade exponent.
+  // CapacityFadeModel::loss_rate_percent_per_s.
   const double cell_i = std::max(i_b, 0.0) / strings;
   const double c_rate = cell_i / cap_ah;
-  const double powed = c.l3 == 1.0 ? c_rate : std::pow(c_rate, c.l3);
+  const double powed = battery::cellmath::fade_power(c, c_rate);
   const double rate_full = l1 * arr_fade * powed;
   const double rate = cell_i <= 0.0 ? 0.0 : rate_full;
   o.qloss_h = rate * h;

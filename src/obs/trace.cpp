@@ -231,6 +231,17 @@ Json TraceCollector::to_chrome_json() const {
   export_id.reserve(spans.size());
   for (size_t i = 0; i < spans.size(); ++i)
     export_id.emplace(spans[i].id, i + 1);
+  // Timestamps are exported relative to the earliest span. Absolute
+  // steady-clock microseconds grow with uptime, and through the
+  // 12-digit number writer they lose sub-microsecond placement after
+  // ~1 day (whole microseconds after ~28 h, tens after ~12 days).
+  double t0 = 0.0;
+  if (!spans.empty())
+    t0 = std::min_element(spans.begin(), spans.end(),
+                          [](const SpanRecord& a, const SpanRecord& b) {
+                            return a.ts_us < b.ts_us;
+                          })
+             ->ts_us;
   Json root = Json::object();
   root.set("schema", "otem.trace.v1");
   root.set("displayTimeUnit", "ms");
@@ -242,7 +253,7 @@ Json TraceCollector::to_chrome_json() const {
     e.set("name", span.name);
     e.set("cat", "otem");
     e.set("ph", "X");
-    e.set("ts", span.ts_us);
+    e.set("ts", span.ts_us - t0);
     e.set("dur", span.dur_us);
     e.set("pid", 1.0);
     e.set("tid", static_cast<double>(span.tid));

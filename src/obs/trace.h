@@ -117,10 +117,11 @@ class TraceCollector {
   std::vector<SpanSummary> summaries() const;
 
   /// Chrome trace-event JSON (schema "otem.trace.v1"): complete "X"
-  /// events sorted by (tid, ts), args carrying id/parent/depth. A
-  /// span's exported id is its 1-based position in the events; parent
-  /// is the enclosing span's exported id, 0 for a root span or when
-  /// the parent's record was overwritten.
+  /// events sorted by (tid, ts), args carrying id/parent/depth. ts is
+  /// microseconds since the earliest exported span, so the earliest
+  /// event reads 0. A span's exported id is its 1-based position in the
+  /// events; parent is the enclosing span's exported id, 0 for a root
+  /// span or when the parent's record was overwritten.
   Json to_chrome_json() const;
 
   /// to_chrome_json() + write to `path`; throws otem::SimError on I/O

@@ -1,8 +1,5 @@
 #include "serve/protocol.h"
 
-#include <cmath>
-#include <cstdio>
-
 #include "common/error.h"
 
 namespace otem::serve {
@@ -33,17 +30,12 @@ std::string coerce_override(const std::string& key, const Json& value) {
     case Json::Type::kString:
       return value.as_string();
     case Json::Type::kNumber: {
-      // Integral values print as integers so keys parsed with
-      // get_long ("repeats", "otem.horizon", seeds) stay parseable;
-      // %.17g keeps full double fidelity for everything else.
-      const double v = value.as_number();
-      char buf[40];
-      if (v == std::floor(v) && std::abs(v) < 1e15) {
-        std::snprintf(buf, sizeof(buf), "%.0f", v);
-      } else {
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-      }
-      return buf;
+      // 17 significant digits keep full double fidelity and spell an
+      // integral value below 1e17 as that integer, so keys parsed with
+      // get_long ("repeats", "otem.horizon", seeds) stay parseable.
+      std::string text;
+      append_g17(text, value.as_number());
+      return text;
     }
     case Json::Type::kBool:
       return value.as_bool() ? "true" : "false";

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/json.h"
 #include "core/methodology_registry.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -13,6 +14,26 @@
 #include "vehicle/powertrain.h"
 
 namespace otem::sim {
+
+void require_synthetic_duration_s(const std::string& key, double seconds) {
+  if (seconds > 0.0 && seconds <= kMaxSyntheticDurationS) return;
+  std::string message = key + " = ";
+  append_json_number(message, seconds);
+  throw SimError(message + " s is outside the synthetic route range (0, " +
+                 std::to_string(static_cast<long>(kMaxSyntheticDurationS)) +
+                 "] s");
+}
+
+void require_mission_steps(size_t route_samples, size_t repeats) {
+  // Divided, not multiplied: the product of two hostile sizes overflows.
+  if (repeats >= 1 &&
+      (route_samples == 0 || repeats <= kMaxMissionSteps / route_samples))
+    return;
+  throw SimError("a mission of " + std::to_string(route_samples) +
+                 " route samples x " + std::to_string(repeats) +
+                 " repeats exceeds the " + std::to_string(kMaxMissionSteps) +
+                 "-step cap");
+}
 
 Scenario Scenario::from_config(const Config& cfg) {
   Scenario sc;
@@ -26,11 +47,16 @@ Scenario Scenario::from_config(const Config& cfg) {
       cfg.get_long("synthetic_seed", static_cast<long>(sc.synthetic_seed)));
   sc.synthetic_duration_s =
       cfg.get_double("synthetic_duration_s", sc.synthetic_duration_s);
+  require_synthetic_duration_s("synthetic_duration_s",
+                               sc.synthetic_duration_s);
   sc.synthetic_max_speed_mps =
       cfg.get_double("synthetic_max_speed_mps", sc.synthetic_max_speed_mps);
   const long repeats = cfg.get_long("repeats", 1);
   OTEM_REQUIRE(repeats >= 1, "scenario repeats must be >= 1");
   sc.repeats = static_cast<size_t>(repeats);
+  // Every route has a sample, so this bounds repeats before the route
+  // exists; the route's own size is checked when it is built.
+  require_mission_steps(1, sc.repeats);
   sc.soak = cfg.get_bool("soak", sc.soak);
   sc.initial.t_battery_k =
       cfg.get_double("t_battery0_k", sc.initial.t_battery_k);
@@ -54,17 +80,27 @@ Scenario Scenario::from_config(const Config& cfg) {
 }
 
 namespace {
-TimeSeries scenario_speed(const Scenario& sc) {
+TimeSeries route_speed(const Scenario& sc) {
   if (!sc.cycle_csv.empty()) {
     return vehicle::load_speed_csv(sc.cycle_csv, sc.time_column,
                                    sc.speed_column);
   }
   if (sc.synthetic) {
+    require_synthetic_duration_s("synthetic_duration_s",
+                                 sc.synthetic_duration_s);
     return vehicle::generate_synthetic(sc.synthetic_seed,
                                        sc.synthetic_duration_s,
                                        sc.synthetic_max_speed_mps);
   }
   return vehicle::generate(vehicle::cycle_from_string(sc.cycle));
+}
+
+/// The route's speed trace, with the mission's size checked before
+/// anything repeats it.
+TimeSeries scenario_speed(const Scenario& sc) {
+  TimeSeries speed = route_speed(sc);
+  require_mission_steps(speed.size(), sc.repeats);
+  return speed;
 }
 }  // namespace
 

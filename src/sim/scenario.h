@@ -25,6 +25,11 @@
 //   events_jsonl=<path> [events_every=N]   stream per-step JSONL events
 //   trace_out=<path>                enable span tracing for the run and
 //                                   write a Chrome trace (otem.trace.v1)
+//
+// Mission size is bounded where a mission is asked for (a config line,
+// a serve frame, a campaign grid), before a route is generated or
+// repeated: synthetic_duration_s within (0, kMaxSyntheticDurationS] and
+// route samples x repeats within kMaxMissionSteps.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +42,21 @@
 #include "sim/simulator.h"
 
 namespace otem::sim {
+
+/// Most plant steps one mission may take (route samples x repeats):
+/// 2^22, 48.5 days at the 1-Hz cycles, a 32 MiB power trace.
+inline constexpr size_t kMaxMissionSteps = size_t{1} << 22;
+
+/// Longest synthetic route [s]: 1e6 s, 11.6 days.
+inline constexpr double kMaxSyntheticDurationS = 1e6;
+
+/// Throws otem::SimError naming `key` unless `seconds` lies within
+/// (0, kMaxSyntheticDurationS] (NaN never does).
+void require_synthetic_duration_s(const std::string& key, double seconds);
+
+/// Throws otem::SimError unless a route of `route_samples` steps driven
+/// `repeats` times fits kMaxMissionSteps (and repeats >= 1).
+void require_mission_steps(size_t route_samples, size_t repeats);
 
 struct Scenario {
   std::string methodology = "otem";

@@ -87,10 +87,14 @@ StepMatrix CoolingSystem::step_matrix(double dt) const {
 }
 
 ThermalState CoolingSystem::step(const ThermalState& s, double q_bat_w,
-                                 double t_inlet_k, double dt) const {
-  const StepMatrix m = step_matrix(dt);
+                                 double t_inlet_k, double dt) {
+  if (dt != step_matrix_dt_) {
+    step_matrix_ = step_matrix(dt);
+    step_matrix_dt_ = dt;
+  }
   ThermalState out = s;
-  apply_step(m, out.t_battery_k, out.t_coolant_k, q_bat_w, t_inlet_k);
+  apply_step(step_matrix_, out.t_battery_k, out.t_coolant_k, q_bat_w,
+             t_inlet_k);
   return out;
 }
 

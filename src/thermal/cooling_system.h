@@ -31,6 +31,8 @@
 // below it.
 #pragma once
 
+#include <limits>
+
 #include "common/config.h"
 
 namespace otem::thermal {
@@ -125,9 +127,12 @@ class CoolingSystem {
   StepMatrix step_matrix(double dt) const;
 
   /// Advance the thermal state by dt under battery heat q_bat [W] and
-  /// inlet temperature t_inlet [K].
+  /// inlet temperature t_inlet [K]. The step matrix depends only on the
+  /// parameters and dt, so it is built when dt differs from the previous
+  /// call's and reused otherwise: a mission of equal steps builds it
+  /// once.
   ThermalState step(const ThermalState& s, double q_bat_w, double t_inlet_k,
-                    double dt) const;
+                    double dt);
 
   /// Passive inlet temperature (cooler off): the ambient radiator sheds
   /// eps of the outlet-to-ambient difference.
@@ -168,6 +173,11 @@ class CoolingSystem {
 
  private:
   CoolingParams params_;
+  /// step()'s matrix and the dt it was built for. The dt is NaN until
+  /// the first step and then only ever one step_matrix accepted, so a
+  /// NaN or non-positive dt never matches and always reaches its check.
+  StepMatrix step_matrix_;
+  double step_matrix_dt_ = std::numeric_limits<double>::quiet_NaN();
 };
 
 }  // namespace otem::thermal

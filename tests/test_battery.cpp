@@ -155,6 +155,26 @@ TEST(BatteryPack, EnergySplitConsistent) {
   EXPECT_GT(split.loss_j, 0.0);
 }
 
+TEST(BatteryPack, OneEvaluationGivesTheSameBitsAsEachQuery) {
+  // A plant step and the MPC rollout evaluate Voc and R (and the
+  // partials) once per (SoC, T) and read every quantity from there; each
+  // value must equal the bits of its own query.
+  const PackModel pack = default_pack();
+  for (double soc : {-3.0, 0.0, 0.5, 17.0, 55.5, 99.9, 100.0, 104.0}) {
+    for (double t : {253.15, 298.15, 301.7, 333.15}) {
+      const PackPoint at = pack.evaluate(soc, t);
+      EXPECT_EQ(at.voc, pack.open_circuit_voltage(soc));
+      EXPECT_EQ(at.r, pack.internal_resistance(soc, t));
+      EXPECT_EQ(at.temp_k, t);
+      const PackPartials d = pack.partials(soc, t);
+      EXPECT_EQ(d.voc, at.voc) << soc << " " << t;
+      EXPECT_EQ(d.r, at.r) << soc << " " << t;
+    }
+  }
+  EXPECT_THROW(pack.partials(50.0, 25.0), SimError);
+  EXPECT_THROW(pack.evaluate(50.0, 25.0), SimError);
+}
+
 TEST(BatteryPack, DerivativesMatchFiniteDifferences) {
   const PackModel pack = default_pack();
   const double h = 1e-5;
@@ -162,18 +182,18 @@ TEST(BatteryPack, DerivativesMatchFiniteDifferences) {
     const double dv_fd = (pack.open_circuit_voltage(soc + h) -
                           pack.open_circuit_voltage(soc - h)) /
                          (2.0 * h);
-    EXPECT_NEAR(pack.open_circuit_voltage_dsoc(soc), dv_fd, 1e-6);
+    EXPECT_NEAR(pack.partials(soc, kRoom).dvoc_dsoc, dv_fd, 1e-6);
 
     const double dr_fd = (pack.internal_resistance(soc + h, kRoom) -
                           pack.internal_resistance(soc - h, kRoom)) /
                          (2.0 * h);
-    EXPECT_NEAR(pack.internal_resistance_dsoc(soc, kRoom), dr_fd, 1e-8);
+    EXPECT_NEAR(pack.partials(soc, kRoom).dr_dsoc, dr_fd, 1e-8);
 
     const double ht = 1e-3;
     const double drt_fd = (pack.internal_resistance(soc, kRoom + ht) -
                            pack.internal_resistance(soc, kRoom - ht)) /
                           (2.0 * ht);
-    EXPECT_NEAR(pack.internal_resistance_dtemp(soc, kRoom), drt_fd, 1e-9);
+    EXPECT_NEAR(pack.partials(soc, kRoom).dr_dtemp, drt_fd, 1e-9);
   }
 }
 

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "bit_hash.h"
 #include "campaign/checkpoint.h"
 #include "campaign/grid.h"
 #include "campaign/runner.h"
@@ -30,6 +31,7 @@
 #include "obs/trace.h"
 #include "serve/client.h"
 #include "serve/server.h"
+#include "sim/scenario.h"
 #include "vehicle/drive_cycle.h"
 
 namespace otem {
@@ -134,6 +136,20 @@ TEST(CampaignGrid, FromConfigParsesAxesAndValidates) {
   bad.set("campaign.cycles", "NOT_A_CYCLE");
   bad.set("campaign.synthetic_routes", "0");
   EXPECT_THROW(campaign::Grid::from_config(bad).validate(), SimError);
+}
+
+TEST(CampaignGrid, ValidateRefusesSyntheticDurationsPastTheCap) {
+  // The synthetic duration range is held to the scenario's (0, 1e6] s.
+  campaign::Grid grid = small_grid();
+  grid.max_duration_s = 1e6;
+  EXPECT_NO_THROW(grid.validate());
+  grid.max_duration_s = 2e6;
+  EXPECT_THROW(grid.validate(), SimError);
+  grid.min_duration_s = 1.5e6;
+  EXPECT_THROW(grid.validate(), SimError);
+  grid = small_grid();
+  grid.min_duration_s = 0.0;
+  EXPECT_THROW(grid.validate(), SimError);
 }
 
 TEST(CampaignGrid, ValidateRefusesAmbientsAndChargesOutsideThePlantDomain) {
@@ -601,6 +617,133 @@ TEST(CampaignRunner, DefaultWidthHonoursOtemThreads) {
   }
   EXPECT_EQ(runs, grid.size());
   EXPECT_EQ(tids.size(), 1u);
+}
+
+// --- golden ids and fingerprints ---------------------------------------
+
+TEST(CampaignGrid, IdsAndFingerprintsMatchTheirRecordedValues) {
+  // Scenario ids and grid fingerprints are persisted (checkpoints,
+  // result caches, summaries), so their bytes are pinned: synthetic and
+  // cycle routes, drawn and axis ambients, fractional UC scales and
+  // drawn initial charges.
+  campaign::Grid grid;
+  grid.methodologies = {"parallel", "active_cooling", "dual"};
+  grid.cycles = {"US06", "NYCC"};
+  grid.synthetic_routes = 3;
+  grid.min_duration_s = 61.5;
+  grid.max_duration_s = 1234.5678;
+  grid.max_speed_mps = 37.25;
+  grid.uc_scales = {0.3, 1.0, 2.0 / 3.0};
+  grid.soe0_min = 20.0;
+  grid.soe0_max = 99.9;
+  grid.seed = 424242;
+  std::string ids;
+  for (size_t i = 0; i < grid.size(); i += 7) ids += grid.at(i).id + ",";
+  EXPECT_EQ(campaign::fnv1a64(ids), 0xb51ed8b8d276bbccull) << ids;
+  EXPECT_EQ(grid.at(0).canonical_key(),
+            "method=parallel|route=US06|ambient_k=288.76164700639765|"
+            "uc_scale=0.29999999999999999|soe0=62.408101072751222");
+  EXPECT_EQ(grid.at(grid.size() - 1).canonical_key(),
+            "method=dual|route=synthetic|route_seed=3d0241a7738f4616|"
+            "duration_s=973.36815107726966|max_speed_mps=37.25|"
+            "ambient_k=299.18757911483323|uc_scale=0.66666666666666663|"
+            "soe0=95.41163229616501");
+  EXPECT_EQ(grid.fingerprint(), "6a76851352d78035");
+
+  grid.ambients_k = {263.15, 298.15, 1.0 / 3.0 + 300.0};
+  EXPECT_EQ(grid.at(grid.size() - 2).canonical_key(),
+            "method=active_cooling|route=synthetic|"
+            "route_seed=3d0241a7738f4616|duration_s=973.36815107726966|"
+            "max_speed_mps=37.25|ambient_k=300.33333333333331|"
+            "uc_scale=0.66666666666666663|soe0=95.41163229616501");
+  EXPECT_EQ(grid.fingerprint(), "e120086bc52db2e4");
+}
+
+// --- reactive plant bit pins -------------------------------------------
+
+/// 2 cycles and 73 seeded synthetic routes (1-4 minutes, up to 40 m/s),
+/// each at a drawn ambient of 5-40 C and initial bank charge of
+/// 10-100 %, at two UC sizes: 150 scenarios of `method`.
+campaign::Grid reactive_pin_grid(const std::string& method) {
+  campaign::Grid grid;
+  grid.methodologies = {method};
+  grid.cycles = {"US06", "NYCC"};
+  grid.synthetic_routes = 73;
+  grid.min_duration_s = 60.0;
+  grid.max_duration_s = 240.0;
+  grid.max_speed_mps = 40.0;
+  grid.ambient_min_k = 278.15;
+  grid.ambient_max_k = 313.15;
+  grid.uc_scales = {0.3, 1.0};
+  grid.soe0_min = 10.0;
+  grid.soe0_max = 100.0;
+  grid.seed = 20261020;
+  return grid;
+}
+
+/// Every RunResult double and every per-step trace value of the
+/// pin grid's scenarios, run the way a local campaign worker runs them.
+std::uint64_t reactive_run_hash(const std::string& method) {
+  const campaign::Grid grid = reactive_pin_grid(method);
+  EXPECT_EQ(grid.size(), 150u);
+  const Config cfg;
+  const core::SystemSpec base = core::SystemSpec::from_config(cfg);
+  test::BitHash h;
+  for (size_t i = 0; i < grid.size(); ++i) {
+    const campaign::ScenarioSpec s = grid.at(i);
+    core::SystemSpec spec =
+        base.with_ultracap_size(base.ultracap.capacitance_f * s.uc_scale);
+    spec.ambient_k = s.ambient_k;
+    sim::Scenario sc;
+    sc.methodology = s.methodology;
+    if (s.synthetic()) {
+      sc.synthetic = true;
+      sc.synthetic_seed = s.route_seed;
+      sc.synthetic_duration_s = s.duration_s;
+      sc.synthetic_max_speed_mps = s.max_speed_mps;
+    } else {
+      sc.cycle = s.route;
+    }
+    sc.soak = true;
+    sc.initial.soe_percent = s.soe0;
+    sc.record_trace = true;
+    const sim::RunResult r = sim::run_scenario(sc, spec, cfg).result;
+    for (const double v :
+         {r.duration_s, r.qloss_percent, r.energy_hees_j, r.energy_battery_j,
+          r.energy_cap_j, r.energy_cooling_j, r.energy_loss_j,
+          r.average_power_w, r.max_t_battery_k, r.thermal_violation_s,
+          r.unserved_energy_j, r.final_state.t_battery_k,
+          r.final_state.t_coolant_k, r.final_state.soc_percent,
+          r.final_state.soe_percent})
+      h.add(v);
+    h.add_count(r.infeasible_steps);
+    for (const TimeSeries* series :
+         {&r.trace.t_battery_k, &r.trace.t_coolant_k, &r.trace.soc_percent,
+          &r.trace.soe_percent, &r.trace.p_cooler_w, &r.trace.p_cap_w,
+          &r.trace.q_bat_w, &r.trace.t_inlet_k, &r.trace.i_bat_a,
+          &r.trace.qloss_percent})
+      h.add(series->values());
+  }
+  return h.value();
+}
+
+// Recorded on x86-64 GCC builds (Release and the sanitizer
+// RelWithDebInfo builds agree: no FMA contraction on the baseline ISA).
+// A plant refactor that claims to keep every bit must leave these
+// unchanged.
+TEST(ReactiveBitPin, ParallelOver150Scenarios) {
+  const std::uint64_t h = reactive_run_hash("parallel");
+  EXPECT_EQ(h, 0x3280cf9593cfe786ull) << std::hex << "0x" << h;
+}
+
+TEST(ReactiveBitPin, ActiveCoolingOver150Scenarios) {
+  const std::uint64_t h = reactive_run_hash("active_cooling");
+  EXPECT_EQ(h, 0x40d923b51354077dull) << std::hex << "0x" << h;
+}
+
+TEST(ReactiveBitPin, DualOver150Scenarios) {
+  const std::uint64_t h = reactive_run_hash("dual");
+  EXPECT_EQ(h, 0xe9a376ef4adc59d7ull) << std::hex << "0x" << h;
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 // architectures.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "bit_hash.h"
 #include "common/error.h"
+#include "common/rng.h"
 #include "hees/converter.h"
 #include "hees/dual_arch.h"
 #include "hees/hybrid_arch.h"
@@ -335,6 +338,64 @@ TEST(HybridArch, BusLimitsConsistent) {
       0.0);
   EXPECT_DOUBLE_EQ(arch.cap_bus_charge_limit(100.0, 1.0), 0.0);
   EXPECT_GT(arch.cap_bus_charge_limit(40.0, 1.0), 0.0);
+}
+
+// --- bit pins --------------------------------------------------------------
+
+/// Every ArchStep field, bit for bit.
+void hash_step(test::BitHash& h, const ArchStep& s) {
+  for (const double v : {s.i_bat_a, s.i_cap_a, s.soc_next, s.soe_next,
+                         s.q_bat_w, s.qloss_percent, s.e_bat_j, s.e_cap_j,
+                         s.e_loss_j, s.unmet_bus_w})
+    h.add(v);
+  h.add_flag(s.feasible);
+}
+
+/// A seeded sweep of plant states and requests: charges across and at
+/// the ends of their ranges, cold to hot packs, regen through requests
+/// beyond the pack's peak power, two step sizes.
+struct SweepPoint {
+  double soc, soe, tb, p, p2, dt;
+};
+std::vector<SweepPoint> arch_sweep() {
+  Rng rng(4099);
+  std::vector<SweepPoint> points;
+  for (int i = 0; i < 3000; ++i) {
+    SweepPoint q;
+    q.soc = i % 97 == 0 ? 0.0 : i % 89 == 0 ? 100.0 : rng.uniform(0.0, 100.0);
+    q.soe = i % 83 == 0 ? 0.0 : i % 79 == 0 ? 100.0 : rng.uniform(0.0, 100.0);
+    q.tb = rng.uniform(258.15, 338.15);
+    q.p = rng.uniform(-150000.0, 450000.0);
+    q.p2 = rng.uniform(-90000.0, 120000.0);
+    q.dt = i % 5 == 0 ? 0.5 : 1.0;
+    points.push_back(q);
+  }
+  return points;
+}
+
+// Recorded on x86-64 GCC builds (Release and the sanitizer
+// RelWithDebInfo builds agree). A plant refactor that claims to keep
+// every bit must leave these unchanged.
+TEST(ArchBitPin, DualStepInEveryModeOverASeededSweep) {
+  DualArchitecture arch(default_battery(), default_cap());
+  arch.set_recharge_power_w(12000.0);
+  test::BitHash h;
+  for (const SweepPoint& q : arch_sweep())
+    for (const DualMode mode : {DualMode::kBatteryOnly, DualMode::kUltracapOnly,
+                                DualMode::kParallel, DualMode::kRecharge})
+      hash_step(h, arch.step(q.soc, q.soe, q.tb, q.p, mode, q.dt));
+  EXPECT_EQ(h.value(), 0xabadb461e616a55full) << std::hex << "0x" << h.value();
+}
+
+TEST(ArchBitPin, HybridStepOverASeededSweep) {
+  const HybridArchitecture arch = default_hybrid();
+  test::BitHash h;
+  // A fully drained bank is a precondition failure for the hybrid step,
+  // so the sweep's empty-bank points sit just above empty.
+  for (const SweepPoint& q : arch_sweep())
+    hash_step(h, arch.step(q.soc, std::max(q.soe, 0.02), q.tb, q.p - q.p2,
+                           q.p2, q.dt));
+  EXPECT_EQ(h.value(), 0x29a82a03e2a822f5ull) << std::hex << "0x" << h.value();
 }
 
 }  // namespace

@@ -179,6 +179,98 @@ TEST(JsonNumbers, SeededDoublesAcrossTheExponentRange) {
   }
 }
 
+// append_g17 is the one 17-digit writer (campaign ids and fingerprints,
+// fabric and serve override strings): its bytes must be printf's
+// "%.17g", which the spellings persisted before it were.
+
+std::string printf_format(const char* format, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), format, v);
+  return buf;
+}
+
+std::string g17(double v) {
+  std::string out;
+  append_g17(out, v);
+  return out;
+}
+
+void expect_printf_17g(double v) {
+  EXPECT_EQ(g17(v), printf_format("%.17g", v))
+      << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v);
+}
+
+TEST(JsonNumbers, G17MatchesPrintfAtBoundariesAndExtremes) {
+  using lim = std::numeric_limits<double>;
+  for (double v : {0.0, lim::denorm_min(), DBL_MIN, DBL_MAX, lim::epsilon(),
+                   std::nextafter(DBL_MIN, 0.0), lim::infinity(), 0.1, 0.3,
+                   1.0 / 3.0, 2.0 / 3.0, 298.15, 273.15 + 25.0}) {
+    expect_printf_17g(v);
+    expect_printf_17g(-v);
+  }
+  for (double b : {1e-5, 1e-4, 1e15, 1e16, 1e17, 1e18}) {
+    double up = b;
+    double down = b;
+    for (int ulp = 0; ulp < 16; ++ulp) {
+      for (double w : {up, down}) {
+        expect_printf_17g(w);
+        expect_printf_17g(-w);
+      }
+      up = std::nextafter(up, DBL_MAX);
+      down = std::nextafter(down, 0.0);
+    }
+  }
+  EXPECT_EQ(g17(-0.0), "-0");
+  EXPECT_EQ(g17(lim::quiet_NaN()), printf_format("%.17g", lim::quiet_NaN()));
+  EXPECT_EQ(g17(-lim::quiet_NaN()),
+            printf_format("%.17g", -lim::quiet_NaN()));
+}
+
+TEST(JsonNumbers, G17MatchesPrintfOnSeededDoubles) {
+  // 200 000 uniformly random bit patterns (every binary exponent
+  // equally likely, subnormals included) and 100 000 values built from
+  // 18 random decimal digits, which sit on or next to a 17th-digit tie
+  // far more often than random bits do.
+  std::mt19937_64 rng(17171);
+  for (int i = 0; i < 200000; ++i) {
+    const auto v = std::bit_cast<double>(rng());
+    if (std::isfinite(v)) expect_printf_17g(v);
+  }
+  std::uniform_int_distribution<long long> digits(100000000000000000LL,
+                                                  999999999999999999LL);
+  std::uniform_int_distribution<int> exponent(-325, 290);
+  for (int i = 0; i < 100000; ++i) {
+    char text[48];
+    std::snprintf(text, sizeof(text), "%llde%d", digits(rng), exponent(rng));
+    expect_printf_17g(std::strtod(text, nullptr));
+  }
+}
+
+TEST(JsonNumbers, G17SpellsIntegralValuesLikePrintf0f) {
+  // Serve overrides used to print an integral value below 1e15 with
+  // "%.0f" and everything else with "%.17g"; one writer now does both,
+  // so below 1e15 the two spellings must agree. 200 000 seeded integers
+  // spread over every magnitude, plus each power of ten and two.
+  std::mt19937_64 rng(15);
+  std::uniform_int_distribution<int> magnitude(0, 49);
+  for (int i = 0; i < 200000; ++i) {
+    const auto bound = static_cast<std::uint64_t>(std::ldexp(1.0, magnitude(rng)));
+    const double v = static_cast<double>(rng() % (bound + 1));
+    for (double w : {v, -v}) {
+      EXPECT_EQ(g17(w), printf_format("%.0f", w)) << w;
+    }
+  }
+  double ten = 1.0;
+  for (int e = 0; e < 15; ++e, ten *= 10.0)
+    for (double w : {ten, ten - 1.0, ten + 1.0, -ten})
+      EXPECT_EQ(g17(w), printf_format("%.0f", w)) << w;
+  for (int e = 0; e < 50; ++e) {
+    const double p = std::ldexp(1.0, e);
+    EXPECT_EQ(g17(p), printf_format("%.0f", p)) << p;
+  }
+  EXPECT_EQ(g17(-0.0), printf_format("%.0f", -0.0));
+}
+
 TEST(JsonReport, RunReportRoundtripsToFile) {
   const core::SystemSpec spec = core::SystemSpec::from_config(Config());
   const TimeSeries power =

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "bit_hash.h"
 #include "common/rng.h"
 #include "core/otem/mpc_problem.h"
 #include "optim/finite_diff.h"
@@ -273,7 +274,7 @@ TEST(MpcProblem, RolloutMatchesPlantWhenApplyingTheSameControls) {
 
   // Plant-side replay.
   const hees::HybridArchitecture arch = spec.make_hybrid_arch();
-  const thermal::CoolingSystem cooling = spec.make_cooling();
+  thermal::CoolingSystem cooling = spec.make_cooling();
   PlantState x = x0;
   for (size_t k = 0; k < n; ++k) {
     const auto u = prob.decode(z, k);
@@ -314,6 +315,55 @@ TEST(MpcProblem, CostBreakdownSumsToTotal) {
               std::abs(total) * 1e-12);
   EXPECT_GT(b.cooler, 0.0);  // z puts the cooler on
   EXPECT_GT(b.aging, 0.0);
+}
+
+// --- bit pin ---------------------------------------------------------------
+
+// evaluate(), linearize() and gradient() over seeded windows and
+// decisions, hashed bit for bit. Recorded on x86-64 GCC builds (Release
+// and the sanitizer RelWithDebInfo builds agree); a rollout refactor
+// that claims to keep every bit must leave it unchanged.
+TEST(MpcBitPin, RolloutLinearizationAndAdjointOverSeededWindows) {
+  const SystemSpec spec = default_spec();
+  MpcProblem prob(spec, small_options(12));
+  Rng rng(777);
+  test::BitHash h;
+  for (int window = 0; window < 60; ++window) {
+    PlantState x0;
+    x0.t_battery_k = rng.uniform(268.15, 320.15);
+    x0.t_coolant_k = rng.uniform(268.15, 320.15);
+    x0.soc_percent = window % 11 == 0 ? 100.0 : rng.uniform(3.0, 100.0);
+    x0.soe_percent = window % 13 == 0 ? 0.0 : rng.uniform(0.0, 100.0);
+    std::vector<double> p(12);
+    for (double& v : p) v = rng.uniform(-50000.0, 160000.0);
+    prob.set_window(x0, p);
+    for (int draw = 0; draw < 3; ++draw) {
+      optim::Vector z(prob.dim());
+      for (double& v : z) v = rng.uniform();
+      optim::Vector c;
+      h.add(prob.evaluate(z, c));
+      h.add(c);
+      for (const PlantState& x : prob.predicted_states())
+        for (const double v : {x.t_battery_k, x.t_coolant_k, x.soc_percent,
+                               x.soe_percent})
+          h.add(v);
+      for (const MpcProblem::StepJacobian& j : prob.linearize()) {
+        for (const auto& row : j.a)
+          for (const double v : row) h.add(v);
+        for (const auto& row : j.b)
+          for (const double v : row) h.add(v);
+        h.add(j.p_bs);
+        for (const double v : j.dpbs_du) h.add(v);
+        for (const double v : j.dpbs_dx) h.add(v);
+      }
+      optim::Vector w(prob.num_constraints());
+      for (double& v : w) v = rng.uniform(0.0, 5.0);
+      optim::Vector g;
+      prob.gradient(z, w, g);
+      h.add(g);
+    }
+  }
+  EXPECT_EQ(h.value(), 0xf3e0faf214232794ull) << std::hex << "0x" << h.value();
 }
 
 }  // namespace

@@ -12,7 +12,7 @@ namespace {
 CoolingParams params() { return CoolingParams{}; }
 
 TEST(PackThermal, SingleSegmentMatchesLumpedModel) {
-  const CoolingSystem lumped(params());
+  CoolingSystem lumped(params());
   const PackThermalModel pack(params(), 1);
   ThermalState ls{305.0, 300.0};
   PackThermalModel::State ps;
@@ -72,7 +72,7 @@ TEST(PackThermal, MeanTracksLumpedUnderTransient) {
   // lumped prediction through a heating transient (the lumped coolant
   // is fully mixed at outlet temperature, so it runs slightly hotter
   // than the distributed mean).
-  const CoolingSystem lumped(params());
+  CoolingSystem lumped(params());
   const PackThermalModel pack(params(), 10);
   ThermalState ls{298.15, 298.15};
   auto ps = pack.uniform(298.15);

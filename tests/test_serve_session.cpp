@@ -315,6 +315,34 @@ TEST(ServeSession, OutOfDomainOverridesAreRefusedAndOpenNoSession) {
   EXPECT_EQ(sessions_active(), 2.0);
 }
 
+TEST(ServeSession, MissionSizesPastTheCapsAreRefusedBeforeAllocation) {
+  // A frame may not ask for more than 2^22 plant steps or a synthetic
+  // route over 1e6 s. Repeating NYCC 10^7 times (~48 GB of power trace)
+  // and a 1e12-s route used to answer internal std::bad_alloc, or take
+  // the machine's memory; NYCC x 8000 passes the parse-time bound and
+  // is refused once the route's length is known. Each is bad_request
+  // for run and session.open, and the session table is left as it was.
+  Server server(session_test_options());
+  for (const char* overrides :
+       {R"({"method":"parallel","cycle":"NYCC","repeats":10000000})",
+        R"({"method":"parallel","synthetic":true,)"
+        R"("synthetic_duration_s":1e12})",
+        R"({"method":"parallel","cycle":"NYCC","repeats":8000})"}) {
+    for (const char* method : {"run", "session.open"}) {
+      const std::string frame =
+          std::string(R"({"schema":"otem.serve.v1","method":")") + method +
+          R"(","deadline_ms":2000,"overrides":)" + overrides + "}";
+      EXPECT_EQ(error_code_of(server.handle_line(frame)), "bad_request")
+          << frame;
+    }
+  }
+  EXPECT_EQ(ok_result(server.handle_line(
+                          R"({"schema":"otem.serve.v1","method":"stats"})"))
+                .find("sessions_active")
+                ->as_number(),
+            0.0);
+}
+
 TEST(ServeSession, ARefusedPreconditionNamesItsSourceRelativeToTheTree) {
   // The message a client receives names src/...:line, never the absolute
   // path of the checkout the daemon was built from.

@@ -27,7 +27,7 @@ TEST(Thermal, EquilibriumSatisfiesSteadyState) {
 }
 
 TEST(Thermal, TrapezoidalStepConvergesToEquilibrium) {
-  const CoolingSystem sys = default_system();
+  CoolingSystem sys = default_system();
   const double q = 1500.0;
   const double ti = 290.0;
   ThermalState s{320.0, 315.0};
@@ -38,7 +38,7 @@ TEST(Thermal, TrapezoidalStepConvergesToEquilibrium) {
 }
 
 TEST(Thermal, TrapezoidalMatchesRk4SmallSteps) {
-  const CoolingSystem sys = default_system();
+  CoolingSystem sys = default_system();
   ThermalState trap{305.0, 300.0};
   ThermalState rk = trap;
   const double q = 3000.0;
@@ -52,7 +52,7 @@ TEST(Thermal, TrapezoidalMatchesRk4SmallSteps) {
 }
 
 TEST(Thermal, StepMatrixReproducesStep) {
-  const CoolingSystem sys = default_system();
+  CoolingSystem sys = default_system();
   const StepMatrix m = sys.step_matrix(1.0);
   const ThermalState s{310.0, 304.0};
   const double q = 2500.0, ti = 292.0;
@@ -67,8 +67,27 @@ TEST(Thermal, StepMatrixReproducesStep) {
               1e-12);
 }
 
+TEST(Thermal, StepRebuildsItsMatrixExactlyWhenDtChanges) {
+  // step() keeps the matrix of the previous dt; a changed dt must
+  // rebuild it, so every step equals the step matrix of its own dt
+  // applied by hand, bit for bit.
+  CoolingSystem sys = default_system();
+  const CoolingSystem reference = default_system();
+  ThermalState s{306.0, 301.0};
+  for (const double dt : {1.0, 1.0, 0.5, 0.5, 1.0, 2.0, 1e-3, 1.0}) {
+    double tb = s.t_battery_k, tc = s.t_coolant_k;
+    apply_step(reference.step_matrix(dt), tb, tc, 2200.0, 291.0);
+    s = sys.step(s, 2200.0, 291.0, dt);
+    EXPECT_EQ(s.t_battery_k, tb) << dt;
+    EXPECT_EQ(s.t_coolant_k, tc) << dt;
+  }
+  // A matrix in hand never lets an invalid dt through.
+  EXPECT_THROW(sys.step(s, 0.0, 291.0, 0.0), SimError);
+  EXPECT_THROW(sys.step(s, 0.0, 291.0, std::nan("")), SimError);
+}
+
 TEST(Thermal, HeatRaisesBatteryTemperature) {
-  const CoolingSystem sys = default_system();
+  CoolingSystem sys = default_system();
   const ThermalState s{298.0, 298.0};
   const ThermalState hot = sys.step(s, 5000.0, 298.0, 10.0);
   EXPECT_GT(hot.t_battery_k, 298.0);
@@ -77,7 +96,7 @@ TEST(Thermal, HeatRaisesBatteryTemperature) {
 }
 
 TEST(Thermal, ColdInletCoolsBattery) {
-  const CoolingSystem sys = default_system();
+  CoolingSystem sys = default_system();
   ThermalState s{310.0, 308.0};
   const ThermalState cooled = sys.step(s, 0.0, 280.0, 30.0);
   const ThermalState idle = sys.step(s, 0.0, 308.0, 30.0);
@@ -88,7 +107,7 @@ TEST(Thermal, EnergyBalanceOverStep) {
   // Battery + coolant lump energy change equals heat in minus heat
   // advected out by the flow (midpoint convention of Eq. 17).
   const CoolingParams p;
-  const CoolingSystem sys(p);
+  CoolingSystem sys(p);
   const ThermalState s{305.0, 300.0};
   const double q = 2000.0, ti = 290.0, dt = 1.0;
   const ThermalState n = sys.step(s, q, ti, dt);
@@ -150,7 +169,7 @@ TEST(Thermal, InvalidParamsThrow) {
 
 TEST(Thermal, StepMatrixStableForLargeSteps) {
   // Crank-Nicolson is A-stable: even dt = 100 s must not blow up.
-  const CoolingSystem sys = default_system();
+  CoolingSystem sys = default_system();
   ThermalState s{400.0, 300.0};
   for (int k = 0; k < 100; ++k) s = sys.step(s, 0.0, 298.0, 100.0);
   EXPECT_NEAR(s.t_battery_k, 298.0, 0.5);

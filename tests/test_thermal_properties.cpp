@@ -27,7 +27,7 @@ class ThermalParamGrid
 };
 
 TEST_P(ThermalParamGrid, TrapezoidalMatchesEquilibriumEverywhere) {
-  const CoolingSystem sys(params());
+  CoolingSystem sys(params());
   ThermalState s{330.0, 320.0};
   for (int k = 0; k < 60000; ++k) s = sys.step(s, 1800.0, 293.0, 1.0);
   const ThermalState eq = sys.equilibrium(1800.0, 293.0);
@@ -55,7 +55,7 @@ TEST_P(ThermalParamGrid, StepMatrixRowsArePhysical) {
 }
 
 TEST_P(ThermalParamGrid, MonotoneInHeatAndInlet) {
-  const CoolingSystem sys(params());
+  CoolingSystem sys(params());
   const ThermalState s{305.0, 301.0};
   const ThermalState low_q = sys.step(s, 500.0, 295.0, 5.0);
   const ThermalState high_q = sys.step(s, 2500.0, 295.0, 5.0);
@@ -78,7 +78,7 @@ TEST(ThermalProperty, TemperaturesStayOrderedUnderRandomDriving) {
   // With heat always entering at the battery, the battery can approach
   // but never durably fall below the coolant by more than the
   // transient overshoot of one step.
-  const CoolingSystem sys((CoolingParams()));
+  CoolingSystem sys((CoolingParams()));
   Rng rng(8);
   ThermalState s{298.15, 298.15};
   for (int k = 0; k < 5000; ++k) {
@@ -94,7 +94,7 @@ TEST(ThermalProperty, TemperaturesStayOrderedUnderRandomDriving) {
 TEST(ThermalProperty, SuperpositionOfLinearDynamics) {
   // The update is affine: step(a) + step(b) - step(0) == step(a + b)
   // for the heat input at fixed state and inlet.
-  const CoolingSystem sys((CoolingParams()));
+  CoolingSystem sys((CoolingParams()));
   const ThermalState s{306.0, 303.0};
   const double ti = 296.0;
   const ThermalState qa = sys.step(s, 700.0, ti, 1.0);
@@ -141,7 +141,7 @@ TEST(ThermalProperty, EnergyConservationLongHorizon) {
   // Integrate stored + advected energy over a random mission; totals
   // must match the injected heat to numerical precision.
   const CoolingParams p;
-  const CoolingSystem sys(p);
+  CoolingSystem sys(p);
   Rng rng(10);
   ThermalState s{298.15, 298.15};
   double injected = 0.0;

@@ -490,6 +490,25 @@ TEST(Trace, ChromeExportIdsAreUniqueAndParentsEncloseTheirChildren) {
   EXPECT_EQ(children, 2u * kOuter * 6);
 }
 
+TEST(Trace, ChromeExportKeepsSubMicrosecondPlacementLongAfterBoot) {
+  // Two spans 0.25 us apart at 2e11 us of steady clock (2.3 days of
+  // uptime). Written as absolute microseconds through the 12-digit
+  // number writer both read 200000000000; relative to the earliest
+  // exported span they read 0 and 0.25.
+  const TraceGuard guard(true);
+  obs::trace_emit("t.late_a", 2e11, 1.0);
+  obs::trace_emit("t.late_b", 2e11 + 0.25, 1.0);
+  const Json doc = Json::parse(obs::TraceCollector().to_chrome_json().dump(0));
+  const Json& events = *doc.find("traceEvents");
+  ASSERT_EQ(events.size(), 2u);
+  std::map<std::string, double> ts;
+  for (size_t i = 0; i < events.size(); ++i)
+    ts[events.at(i).find("name")->as_string()] =
+        events.at(i).find("ts")->as_number();
+  EXPECT_EQ(ts.at("t.late_a"), 0.0);
+  EXPECT_EQ(ts.at("t.late_b") - ts.at("t.late_a"), 0.25);
+}
+
 TEST(Trace, WriteChromeTraceRoundTrips) {
   const TraceGuard guard(true);
   { const obs::TraceSpan span("t.file_span"); }
